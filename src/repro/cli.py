@@ -27,7 +27,7 @@ from .core import (pattern_breakdown, rate_series, render_rates,
                    summarize, summary_table)
 from .core.report import render_analysis
 from .core.streaming import ProgressSink, StreamingSuite
-from .tracing import TraceFormatError, open_trace
+from .tracing import TraceFormatError, open_trace, write_trace
 from .workloads import (WORKLOADS, browse, browse_adaptive,
                         list_workloads, run_cluster_workload,
                         run_study_traces, run_workload)
@@ -61,8 +61,21 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
              "workload: idle, webserver, serverfarm)")
     parser.add_argument(
         "--cpus", type=_positive_int, default=1, metavar="M",
-        help="shard the engine's timing wheel across M per-CPU wheels "
-             "(dispatch order and traces are identical at any M)")
+        help="stamp the v3 trace cpu column of cluster members with "
+             "M CPUs (needs --hosts > 1; Linux's per-CPU timer bases "
+             "are a separate kernel model)")
+
+
+def _cluster_args_error(args: argparse.Namespace) -> bool:
+    """Refuse ``--cpus > 1`` without ``--hosts > 1``: the cpu column
+    exists only on cluster traces, so it would silently do nothing.
+    Prints the diagnostic and returns True when the caller should
+    exit 2."""
+    if args.cpus > 1 and args.hosts <= 1:
+        print("error: --cpus sets the trace cpu column of cluster "
+              "members; it needs --hosts > 1", file=sys.stderr)
+        return True
+    return False
 
 
 def _add_metrics_args(parser: argparse.ArgumentParser) -> None:
@@ -102,6 +115,8 @@ def _emit_metrics(snapshot, args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if _cluster_args_error(args):
+        return 2
     if args.stream and args.out is not None:
         print("error: --stream analyzes in flight and writes no trace "
               "file; --out conflicts with it", file=sys.stderr)
@@ -114,16 +129,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.hosts > 1:
         return _run_cluster(args, duration)
     mode = "streaming " if args.stream else ""
-    cpus = f", {args.cpus} CPUs" if args.cpus > 1 else ""
     print(f"{mode}running {args.os}/{args.workload} for "
-          f"{args.minutes:g} virtual minutes (seed {args.seed}{cpus})"
-          "...", file=sys.stderr)
-    if args.cpus > 1:
-        # Per-CPU sharded engine wheel; dispatch order — and the trace
-        # — are identical at any CPU count.
-        from .sim.sched import use_scheduler
-        with use_scheduler(f"sharded:{args.cpus}"):
-            return _run_single(args, duration)
+          f"{args.minutes:g} virtual minutes (seed {args.seed})...",
+          file=sys.stderr)
     return _run_single(args, duration)
 
 
@@ -135,7 +143,6 @@ def _run_cluster(args: argparse.Namespace, duration: int) -> int:
                                hosts=args.hosts, cpus=args.cpus,
                                seed=args.seed)
     out = args.out if args.out is not None else "trace.jsonl.gz"
-    from .tracing import write_trace
     write_trace(run.trace, out)
     print(f"{len(run.trace.events)} events across {run.hosts} hosts "
           f"-> {out}", file=sys.stderr)
@@ -165,7 +172,7 @@ def _run_single(args: argparse.Namespace, duration: int) -> int:
         return 0
     run = run_workload(args.os, args.workload, duration, seed=args.seed)
     out = args.out if args.out is not None else "trace.jsonl.gz"
-    run.trace.save(out)
+    write_trace(run.trace, out)
     print(f"{len(run.trace)} events -> {out}", file=sys.stderr)
     if _metrics_enabled(args):
         return _emit_metrics(run.metrics(), args)
@@ -211,6 +218,8 @@ def study_backends() -> list:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
+    if _cluster_args_error(args):
+        return 2
     duration = int(args.minutes * MINUTE)
     # All nine simulations (4 workloads x each study backend + the
     # Figure 1 desktop) are independent; run them through the parallel
@@ -224,10 +233,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
     jobs = [(os_name, workload,
              None if workload == "desktop" else duration, args.seed)
             for os_name, workload in order]
-    if args.cpus > 1:
-        # Sharded engine wheel for every simulation; the study output
-        # is byte-identical at any CPU count.
-        jobs = [job + (1, args.cpus) for job in jobs]
     cluster_backends = backends if args.hosts > 1 else []
     for os_name in cluster_backends:
         print(f"tracing {os_name}/serverfarm on {args.hosts} hosts...",
@@ -292,6 +297,8 @@ def _cmd_sec51(args: argparse.Namespace) -> int:
     from .core.report import render_sec51
     from .study import run_sec51_study
 
+    if _cluster_args_error(args):
+        return 2
     result = run_sec51_study(
         backends=_split_names(args.backends),
         conditions=_split_names(args.conditions),
@@ -347,6 +354,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ServeConfig, ServeDaemon
+    if _cluster_args_error(args):
+        return 2
     config = ServeConfig(
         os_name=args.backend, workload=args.workload, seed=args.seed,
         hosts=args.hosts, cpus=args.cpus,

@@ -60,7 +60,7 @@ def classify_values(values: Sequence[int], *,
     if spread <= 2 * tolerance_ns:
         return ValueBehavior.CONSTANT
 
-    # classify._is_countdown's pair counters, computed straight off the
+    # TimerStats' countdown pair counters, computed straight off the
     # value sequence (no per-value episode shims on this hot path).
     if n >= 4:
         decreasing = resets = 0

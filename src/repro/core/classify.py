@@ -58,88 +58,15 @@ class Classification:
         return len(self.episodes)
 
 
-def _fractions(episodes: list[Episode]) -> tuple[float, float, float]:
-    resolved = [e for e in episodes if e.outcome != Outcome.UNRESOLVED]
-    if not resolved:
-        return 0.0, 0.0, 0.0
-    n = len(resolved)
-    expired = sum(e.outcome == Outcome.EXPIRED for e in resolved) / n
-    canceled = sum(e.outcome == Outcome.CANCELED for e in resolved) / n
-    rearmed = sum(e.outcome == Outcome.REARMED for e in resolved) / n
-    return expired, canceled, rearmed
-
-
-def _is_countdown(episodes: list[Episode], tolerance_ns: int) -> bool:
-    """Detect select-style countdown: values mostly strictly decreasing,
-    periodically resetting upward."""
-    values = [e.value_ns for e in episodes]
-    if len(values) < 4:
-        return False
-    decreasing = resets = 0
-    for prev, cur in zip(values, values[1:]):
-        if cur < prev - tolerance_ns:
-            decreasing += 1
-        elif cur > prev + tolerance_ns:
-            resets += 1
-    pairs = len(values) - 1
-    return decreasing / pairs >= 0.55 and resets >= 1
-
-
-def _is_deferred(episodes: list[Episode]) -> bool:
-    """Vista deferral pattern: runs of re-arms ending in an expiry."""
-    outcomes = [e.outcome for e in episodes
-                if e.outcome != Outcome.UNRESOLVED]
-    expiries = sum(o == Outcome.EXPIRED for o in outcomes)
-    rearms = sum(o == Outcome.REARMED for o in outcomes)
-    if expiries == 0 or rearms == 0:
-        return False
-    # Every expiry should terminate a run of at least one re-arm.
-    runs_ok = 0
-    run = 0
-    for outcome in outcomes:
-        if outcome == Outcome.REARMED:
-            run += 1
-        elif outcome == Outcome.EXPIRED:
-            if run >= 1:
-                runs_ok += 1
-            run = 0
-        else:
-            run = 0
-    return runs_ok >= max(1, expiries * 0.6) and rearms / len(outcomes) >= 0.4
-
-
-def _deferral_fraction(episodes: list[Episode], tolerance_ns: int) -> float:
-    """Fraction of resolved episodes that *defer* the timer: a re-arm
-    while pending, or a cancellation followed within the tolerance by a
-    re-set to the same value.
-
-    The latter is how a watchdog looks through a blocking-syscall
-    interface (Apache's connection guards): the call must return and
-    cancel before it can re-install the same 15 s deadline, but the
-    gap is microseconds — semantically one deferral.
-    """
-    resolved = [e for e in episodes if e.outcome != Outcome.UNRESOLVED]
-    if not resolved:
-        return 0.0
-    deferrals = 0
-    for i, episode in enumerate(episodes):
-        if episode.outcome == Outcome.REARMED:
-            deferrals += 1
-        elif episode.outcome == Outcome.CANCELED and i + 1 < len(episodes):
-            nxt = episodes[i + 1]
-            if (nxt.gap_before_ns is not None
-                    and nxt.gap_before_ns <= tolerance_ns
-                    and abs(nxt.value_ns - episode.value_ns)
-                    <= tolerance_ns):
-                deferrals += 1
-    return deferrals / len(resolved)
-
-
 class TimerStats:
-    """O(1)-per-episode accumulators reproducing the multi-pass helpers
-    above (:func:`dominant_value`, :func:`_is_countdown`,
-    :func:`_fractions`, :func:`_deferral_fraction`, :func:`_is_deferred`)
-    in a single fold over the episode stream.
+    """O(1)-per-episode accumulators for the Section 4.1.1 statistics
+    (dominant value, countdown pairs, outcome fractions, deferral
+    fraction, deferred runs) in a single fold over the episode stream.
+
+    ``tests/core/test_classify_reference.py`` keeps the historical
+    multi-pass definitions of those statistics as a reference and
+    checks, over generated episode lists, that both :meth:`add` and
+    :meth:`add_batch` agree with them on every one.
 
     Both halves of ``analyze()`` run their classification through this
     class: the batch path folds a cached episode list
@@ -353,10 +280,11 @@ def classify_episodes(episodes: list[Episode], *,
 
     One fold through :class:`TimerStats` replaces the historical five
     passes (dominant value, countdown detection, outcome fractions,
-    deferral fraction, deferred-run detection) with identical verdicts
-    — the decision tree in :meth:`TimerStats.classify` mirrors the
-    helper functions above term for term, and the streaming-vs-batch
-    differential tests pin the equivalence.
+    deferral fraction, deferred-run detection); the reference
+    definitions of those passes live in
+    ``tests/core/test_classify_reference.py``, which pins the fold's
+    statistics to them, and the streaming-vs-batch differential tests
+    pin the batch and streaming verdicts to each other.
     """
     stats = TimerStats(tolerance_ns)
     stats.add_batch(episodes)

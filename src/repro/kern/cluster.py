@@ -15,10 +15,9 @@ Identity threading (the whole point of the layer):
 * each machine's kernel emits through a
   :class:`~repro.tracing.relay.HostStampSink`, which rewrites every
   record with the host id and a per-CPU affinity hash of its timer
-  id, carried to disk by the binfmt2 v3 columns;
-* with ``cpus > 1`` the shared engine runs a
-  :class:`~repro.sim.sched.ShardedWheelScheduler` — one wheel shard
-  per CPU, dispatch order still byte-identical to a single wheel;
+  id, carried to disk by the binfmt2 v3 columns — ``cpus`` sizes
+  that hash and nothing else (Linux's per-CPU timer bases are
+  ``LinuxKernel(cpus=)``, a separate model);
 * per-host seeds are derived as ``seed + host_id``, so a cluster run
   is exactly as reproducible as a single-machine one, and host 1 of a
   one-host cluster is *not* the same stream as a standalone run
@@ -103,7 +102,10 @@ class Cluster:
     ``backends`` is either one backend name (every host runs it) or a
     sequence of names, one per host — a mixed-backend cluster is just
     ``Cluster(["linux", "vista"], ...)``.  ``hosts`` sizes a
-    homogeneous cluster when ``backends`` is a single name.
+    homogeneous cluster when ``backends`` is a single name.  ``cpus``
+    sets the v3 trace ``cpu`` column every member stamps
+    (``(timer_id >> 6) % cpus``); all hosts share one engine running
+    the plain timing wheel.
     """
 
     def __init__(self, backends: Union[str, Sequence[str]], *,
@@ -125,8 +127,7 @@ class Cluster:
                 f"at most 255 hosts per cluster, got {len(names)}")
         self.cpus = cpus
         self.seed = seed
-        scheduler = f"sharded:{cpus}" if cpus > 1 else None
-        self.engine = Engine(scheduler=scheduler)
+        self.engine = Engine()
         #: Machines in host order; ids are 1-based.
         self.machines = [
             Machine(os_name, seed=seed + host_id, host_id=host_id,

@@ -81,11 +81,11 @@ class Machine:
     standalone box and leaves the event stream untouched; cluster
     members are numbered from 1 and every record they emit is stamped
     through a :class:`~repro.tracing.relay.HostStampSink`).  ``cpus``
-    shards the engine's timing wheel per CPU
-    (:class:`~repro.sim.sched.ShardedWheelScheduler`); dispatch order
-    — and therefore the trace — is identical at any CPU count, so
-    ``cpus`` is purely a scalability/topology knob.  ``engine`` lets a
-    cluster put several machines on one shared clock.
+    sets the v3 trace ``cpu`` column that stamping writes on cluster
+    members (``(timer_id >> 6) % cpus``), so ``cpus > 1`` needs a
+    non-zero ``host_id``; it does not build Linux's per-CPU timer
+    bases (that is ``LinuxKernel(cpus=)``, Section 2).  ``engine``
+    lets a cluster put several machines on one shared clock.
     """
 
     def __init__(self, os_name: str, *, seed: int = 0,
@@ -97,6 +97,10 @@ class Machine:
             raise ValueError(f"host_id must be in 0..255, got {host_id}")
         if cpus < 1 or cpus > 0xFFFF:
             raise ValueError(f"cpus must be in 1..65535, got {cpus}")
+        if cpus > 1 and not host_id:
+            raise ValueError(
+                f"cpus={cpus} stamps the trace cpu column of cluster "
+                f"members; a standalone machine (host_id=0) has none")
         spec = get_backend(os_name)
         self.os_name = spec.name
         self.retain_events = retain_events
@@ -105,10 +109,6 @@ class Machine:
         self.buffer = spec.buffer_factory() if retain_events else NullSink()
         kernel_sink = HostStampSink(self.buffer, host_id, cpus) \
             if host_id else self.buffer
-        if engine is None and cpus > 1:
-            from ..sim.engine import Engine
-            from ..sim.sched import ShardedWheelScheduler
-            engine = Engine(scheduler=ShardedWheelScheduler(cpus))
         kwargs = dict(seed=seed, sink=kernel_sink)
         if engine is not None:
             kwargs["engine"] = engine

@@ -175,22 +175,6 @@ def _collect_sched(sched, registry: MetricsRegistry,
         "far-future overflow).", names + ("level",))
     for level, count in sched.occupancy().items():
         occupancy.set(count, level=level, **labels)
-    shards = getattr(sched, "shards", None)
-    if shards is None:
-        return
-    shard_occupancy = registry.gauge(
-        "repro_engine_sched_shard_occupancy",
-        "Entries per scheduler region on each per-CPU wheel shard.",
-        names + ("cpu", "level"))
-    shard_live = registry.gauge(
-        "repro_engine_sched_shard_live",
-        "Live events pending on each per-CPU wheel shard.",
-        names + ("cpu",))
-    for cpu, shard in enumerate(shards):
-        shard_live.set(shard.live, cpu=str(cpu), **labels)
-        for level, count in shard.occupancy().items():
-            shard_occupancy.set(count, cpu=str(cpu), level=level,
-                                **labels)
 
 
 # -- sim.power ------------------------------------------------------------

@@ -132,8 +132,11 @@ def _cluster_collector(daemon) -> Optional[Collector]:
     (not extra labels on the generic families — a metric's label set is
     fixed at first registration, and the ``power``/sink collectors
     already own the unlabelled view through host 1's shared engine).
-    The engine and scheduler are shared across hosts and covered, with
-    per-CPU shard occupancy, by the ``engine``/``sched`` collectors."""
+    The engine and scheduler are shared across hosts and covered by the
+    ``engine``/``sched`` collectors.  ``repro_cluster_cpus`` is the
+    ``--cpus`` value: the modulus of the v3 trace ``cpu`` column the
+    hosts stamp (it needs ``--hosts > 1`` and does not build Linux's
+    per-CPU timer bases)."""
     cluster = getattr(daemon, "cluster", None)
     if cluster is None:
         return None
@@ -146,7 +149,8 @@ def _cluster_collector(daemon) -> Optional[Collector]:
             names).set(cluster.hosts, **labels)
         registry.gauge(
             "repro_cluster_cpus",
-            "Per-CPU wheel shards on the shared engine.",
+            "CPUs in the trace cpu column each host stamps "
+            "((timer_id >> 6) % cpus).",
             names).set(cluster.cpus, **labels)
         host_names = names + ("host", "backend")
         records = registry.counter(

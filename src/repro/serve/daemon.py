@@ -57,7 +57,8 @@ class ServeConfig:
     seed: int = 0
     #: Serve an N-host cluster on one shared clock (1 = standalone).
     hosts: int = 1
-    #: Per-CPU engine wheel shards (1 = the single wheel).
+    #: CPUs in the v3 trace ``cpu`` column cluster members stamp;
+    #: needs ``hosts > 1`` (not Linux's per-CPU timer bases).
     cpus: int = 1
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port (tests, parallel daemons).

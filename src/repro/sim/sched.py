@@ -23,21 +23,17 @@ contract:
     appended to the working queue.  No per-event Python object, no
     Python comparison calls on the hot path.
 
-``ShardedWheelScheduler``
-    N per-CPU ``WheelScheduler`` shards behind one scheduler facade —
-    the engine-level analogue of the per-CPU TCP wheels the paper's
-    Section 1 credits for Vista's timer re-architecture (modelled in
-    :mod:`repro.vistakern.tcpwheel`).  Events are affined to a shard
-    by ``seq % cpus`` (the same modulo hash as
-    ``PerCpuTcpTimers.wheel_for``); dispatch is a deterministic k-way
-    merge over the shards' due heaps, so the global ``(time, seq)``
-    order — and therefore the trace bytes — are identical to a single
-    wheel at any shard count.
+Every engine runs the wheel; the heap stays as the reference the
+differential tests and ``benchmarks/bench_scale.py`` compare it with.
+The paper's per-CPU timer structures are modelled in the kernels, not
+here: Linux's per-CPU ``tvec_base`` forest in
+:mod:`repro.linuxkern.kernel` and Vista's per-CPU TCP wheels in
+:mod:`repro.vistakern.tcpwheel`.
 
-Determinism: all schedulers dispatch in the identical total order on
+Determinism: both schedulers dispatch in the identical total order on
 ``(time, seq)`` — seq is assigned by the engine at scheduling time —
-so heap, wheel, and sharded wheel produce byte-identical traces
-(proved by the differential tests in ``tests/sim/test_sched.py`` and
+so heap and wheel produce byte-identical traces (proved by the
+differential tests in ``tests/sim/test_sched.py`` and
 ``tests/test_sched_differential.py``).
 
 Why the wheel preserves the heap's exact order: the wheel keeps a
@@ -69,9 +65,8 @@ from typing import Any, Callable, Iterator, Optional, Union
 from .clock import fmt_time
 
 __all__ = [
-    "Event", "HeapScheduler", "ShardedWheelScheduler", "WheelHandle",
-    "WheelScheduler", "default_scheduler", "make_scheduler",
-    "use_scheduler",
+    "Event", "HeapScheduler", "WheelHandle", "WheelScheduler",
+    "default_scheduler", "make_scheduler", "use_scheduler",
 ]
 
 # -- wheel geometry --------------------------------------------------------
@@ -682,175 +677,7 @@ class WheelScheduler:
         }
 
 
-class ShardedWheelScheduler:
-    """N per-CPU :class:`WheelScheduler` shards behind one facade.
-
-    The composition the paper's Section 1 describes for Vista's TCP
-    timers, lifted to the engine: each simulated CPU owns a private
-    timing wheel, and an event is affined to the wheel of CPU
-    ``seq % cpus`` — the same modulo hash
-    :meth:`repro.vistakern.tcpwheel.PerCpuTcpTimers.wheel_for` uses
-    for connections.  ``seq`` is unique and assigned in scheduling
-    order, so the hash spreads load evenly and deterministically
-    without inspecting the callback.
-
-    Dispatch order is the *global* ``(time, seq)`` order: each shard's
-    due-heap head is that shard's minimum (the single-wheel invariant,
-    see module docstring), so a k-way merge that repeatedly dispatches
-    the smallest head reproduces exactly the sequence a single wheel —
-    or the reference heap — would produce.  At ``cpus=1`` the merge
-    degenerates to the plain wheel loop; at any other count the trace
-    bytes are still identical, which is the invariant the cluster
-    layer's multi-CPU machines rely on.
-
-    Handles are the owning shard's :class:`WheelHandle`, so
-    cancellation, generation tags, and per-shard compaction all work
-    unchanged; a periodic timer whose re-arm draws a new ``seq`` may
-    migrate to a different shard, exactly like a rebalanced connection.
-    """
-
-    kind = "sharded"
-
-    def __init__(self, cpus: int = 2) -> None:
-        if cpus < 1:
-            raise ValueError(f"cpus must be >= 1, got {cpus}")
-        self.cpus = cpus
-        self.shards = [WheelScheduler() for _ in range(cpus)]
-
-    def cpu_for(self, seq: int) -> int:
-        """The shard (CPU) an event with sequence ``seq`` is affined to."""
-        return seq % self.cpus
-
-    # -- scheduling ----------------------------------------------------
-
-    def push(self, when: int, seq: int, callback: Callable[..., Any],
-             args: tuple) -> WheelHandle:
-        return self.shards[seq % self.cpus].push(when, seq, callback,
-                                                 args)
-
-    def compact(self) -> None:
-        for shard in self.shards:
-            shard.compact()
-
-    # -- execution -----------------------------------------------------
-
-    def run(self, engine, deadline: Optional[int]) -> None:
-        """Deterministic k-way merge of the shards' due events.
-
-        Every iteration advances each shard far enough to expose its
-        earliest dispatchable entry (a no-op when its due head is
-        already current), then pops the globally smallest ``(time,
-        seq)``.  Re-evaluating all heads after every dispatch is what
-        keeps the order exact when a callback schedules into — or
-        cancels out of — any shard, including its own.
-        """
-        shards = self.shards
-        profiler = engine.profiler
-        heappop = heapq.heappop
-        limit = _FOREVER if deadline is None else deadline
-        while True:
-            best = None
-            best_shard = None
-            for shard in shards:
-                due = shard._due
-                if not due or due[0][0] > limit:
-                    if not shard._advance(limit):
-                        continue
-                    due = shard._due
-                head = due[0]
-                if best is None or head < best:
-                    best = head
-                    best_shard = shard
-            if best_shard is None:
-                return
-            when, _seq, slot = heappop(best_shard._due)
-            flags = best_shard._flags
-            state = flags[slot]
-            flags[slot] = _FREE
-            callback = best_shard._cbs[slot]
-            args = best_shard._argss[slot]
-            best_shard._cbs[slot] = None
-            best_shard._argss[slot] = None
-            best_shard._free.append(slot)
-            if state != _PENDING:
-                best_shard._garbage -= 1
-                continue
-            best_shard.live -= 1
-            engine.now = when
-            engine.dispatched += 1
-            if profiler is None:
-                callback(*args)
-            else:
-                profiler.dispatch_call(when, callback, args)
-
-    # -- introspection -------------------------------------------------
-
-    def peek_next(self) -> Optional[int]:
-        nexts = [t for t in (shard.peek_next() for shard in self.shards)
-                 if t is not None]
-        return min(nexts) if nexts else None
-
-    @property
-    def live(self) -> int:
-        return sum(shard.live for shard in self.shards)
-
-    @property
-    def garbage(self) -> int:
-        return sum(shard.garbage for shard in self.shards)
-
-    @property
-    def compactions(self) -> int:
-        return sum(shard.compactions for shard in self.shards)
-
-    @property
-    def reclaimed(self) -> int:
-        return sum(shard.reclaimed for shard in self.shards)
-
-    @property
-    def bucket_drains(self) -> int:
-        return sum(shard.bucket_drains for shard in self.shards)
-
-    @property
-    def cascades(self) -> int:
-        return sum(shard.cascades for shard in self.shards)
-
-    @property
-    def cascaded_timers(self) -> int:
-        return sum(shard.cascaded_timers for shard in self.shards)
-
-    @property
-    def compact_threshold(self) -> int:
-        return self.shards[0].compact_threshold
-
-    @compact_threshold.setter
-    def compact_threshold(self, value: int) -> None:
-        for shard in self.shards:
-            shard.compact_threshold = value
-
-    def queued(self) -> int:
-        """Entries physically held (live + cancelled garbage)."""
-        return sum(shard.queued() for shard in self.shards)
-
-    def capacity(self) -> int:
-        """Allocated packed slots across all shards."""
-        return sum(shard.capacity() for shard in self.shards)
-
-    def occupancy(self) -> dict[str, int]:
-        """Aggregate per-level occupancy summed over shards (per-shard
-        detail is available through :attr:`shards`)."""
-        merged: dict[str, int] = {}
-        for shard in self.shards:
-            for key, value in shard.occupancy().items():
-                merged[key] = merged.get(key, 0) + value
-        return merged
-
-    def __repr__(self) -> str:
-        return (f"<ShardedWheelScheduler cpus={self.cpus} "
-                f"live={self.live}>")
-
-
-SchedulerLike = Union[HeapScheduler, WheelScheduler,
-                      ShardedWheelScheduler]
+SchedulerLike = Union[HeapScheduler, WheelScheduler]
 
 #: Process-wide default scheduler kind adopted by ``Engine()``.
 _default = "wheel"
@@ -858,7 +685,6 @@ _default = "wheel"
 _KINDS: dict[str, Callable[[], SchedulerLike]] = {
     "heap": HeapScheduler,
     "wheel": WheelScheduler,
-    "sharded": ShardedWheelScheduler,
 }
 
 
@@ -868,28 +694,17 @@ def default_scheduler() -> str:
 
 
 def _kind_factory(spec: str) -> Callable[[], SchedulerLike]:
-    """Factory for a kind string; ``"sharded:N"`` selects N CPUs."""
-    if spec.startswith("sharded:"):
-        try:
-            cpus = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(
-                f"bad scheduler spec {spec!r}; expected sharded:N "
-                f"with integer N") from None
-        return lambda: ShardedWheelScheduler(cpus)
     factory = _KINDS.get(spec)
     if factory is None:
         raise ValueError(
-            f"unknown scheduler {spec!r}; choose from "
-            f"{sorted(_KINDS)} or sharded:N")
+            f"unknown scheduler {spec!r}; choose from {sorted(_KINDS)}")
     return factory
 
 
 def make_scheduler(
         spec: Union[str, SchedulerLike, None] = None) -> SchedulerLike:
-    """Resolve ``spec`` (kind name — including ``"sharded:N"`` —,
-    instance, or ``None`` for the process default) to a scheduler
-    object."""
+    """Resolve ``spec`` (kind name, instance, or ``None`` for the
+    process default) to a scheduler object."""
     if spec is None:
         spec = _default
     if isinstance(spec, str):
@@ -906,9 +721,6 @@ def use_scheduler(kind: str) -> Iterator[None]:
 
         with use_scheduler("heap"):
             run = run_workload("linux", "idle", seconds(30))
-
-    ``"sharded:N"`` selects the per-CPU sharded wheel with N shards —
-    the hook :class:`repro.kern.Machine` uses for ``cpus=N``.
     """
     _kind_factory(kind)    # validate eagerly
     global _default

@@ -337,13 +337,16 @@ def run_sec51_study(*, backends: Optional[Sequence[str]] = None,
     path (``retain_events=False`` with a live streaming suite) — the
     result is byte-identical because the population lives on the farm
     components, which see the same deterministic dispatch either way.
-    ``hosts``/``cpus`` run the population on a cluster scene / the
-    per-CPU sharded engine wheel, mirroring ``timerstudy run``.
+    ``hosts > 1`` runs the population on a cluster scene whose
+    members stamp a ``cpus``-wide trace ``cpu`` column, mirroring
+    ``timerstudy run``; ``cpus > 1`` needs ``hosts > 1``.
     """
     from ..kern.registry import backend_names
     from ..sim.clock import MINUTE
     from ..workloads import WORKLOADS
 
+    if cpus > 1 and hosts <= 1:
+        raise ValueError(f"cpus={cpus} needs hosts > 1")
     if backends is None:
         backends = [name for name in backend_names()
                     if (name, "serverfarm") in WORKLOADS]
@@ -407,15 +410,8 @@ def _run_population(backend: str, duration_ns: int, *, seed: int,
         run = cluster.finish("serverfarm", duration_ns)
     else:
         runner = WORKLOADS[(backend, "serverfarm")]
-        if cpus > 1:
-            from ..sim.sched import use_scheduler
-            with use_scheduler(f"sharded:{cpus}"):
-                run = runner(duration_ns, seed=seed, sinks=sinks,
-                             retain_events=retain,
-                             connections=connections)
-        else:
-            run = runner(duration_ns, seed=seed, sinks=sinks,
-                         retain_events=retain, connections=connections)
+        run = runner(duration_ns, seed=seed, sinks=sinks,
+                     retain_events=retain, connections=connections)
     if sinks:
         for sink in sinks:
             finish = getattr(sink, "finish", None)

@@ -9,9 +9,6 @@ Trace I/O goes through one surface (:mod:`repro.tracing.formats`)::
 
     trace = open_trace("run.bin")       # sniffs jsonl / v1 / v2
     write_trace(trace, "run.bin")       # extension picks the format
-
-The old five-way surface (``save_binary``/``load_binary``/``dumps``/
-``loads``) still imports from here but warns on first use.
 """
 
 from .events import (FLAG_ABSOLUTE, FLAG_DEFERRABLE, FLAG_ROUNDED,
@@ -28,18 +25,6 @@ from .etw import EtwSession
 from .relay import (CountingSink, NullSink, RelayBuffer, TeeSink)
 from .requests import RequestRecord, RequestTracker, TimeoutNode
 from .trace import TimerHistory, Trace
-
-#: Deprecated names still importable from this package; resolved
-#: lazily so no internal module imports them (the CI gate checks).
-_DEPRECATED = ("save_binary", "load_binary", "dumps", "loads")
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        from . import binfmt
-        return getattr(binfmt, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "FLAG_ABSOLUTE", "FLAG_DEFERRABLE", "FLAG_ROUNDED",

@@ -25,9 +25,7 @@ Format (little-endian)::
 
 from __future__ import annotations
 
-import io
 import struct
-import warnings
 from typing import BinaryIO
 
 from .errors import TraceFormatError
@@ -159,49 +157,3 @@ def load_trace(buf: BinaryIO) -> Trace:
             None if expires_ns == _NONE else expires_ns, flags))
     return Trace(os_name=_OS_NAMES[os_code], workload=workload,
                  duration_ns=duration_ns, events=events)
-
-
-# -- deprecated five-way surface (use repro.tracing.open_trace /
-#    write_trace instead) --------------------------------------------------
-
-_warned: set = set()
-
-
-def _deprecated(name: str, instead: str) -> None:
-    if name in _warned:
-        return
-    _warned.add(name)
-    warnings.warn(
-        f"repro.tracing.binfmt.{name}() is deprecated; use "
-        f"{instead} from repro.tracing.formats instead",
-        DeprecationWarning, stacklevel=3)
-
-
-def save_binary(trace: Trace, path: str) -> None:
-    """Deprecated: use :func:`repro.tracing.write_trace` (which picks
-    the v2 columnar codec for ``*.bin``).  Still writes v1 bytes."""
-    _deprecated("save_binary", 'write_trace(trace, path, format="binfmt")')
-    with open(path, "wb") as fh:
-        dump_trace(trace, fh)
-
-
-def load_binary(path: str) -> Trace:
-    """Deprecated: use :func:`repro.tracing.open_trace`.  Reads any
-    binary version and materialises a full :class:`Trace`."""
-    _deprecated("load_binary", "open_trace(path)")
-    with open(path, "rb") as fh:
-        return load_trace(fh)
-
-
-def dumps(trace: Trace) -> bytes:
-    """Deprecated: use :func:`repro.tracing.formats.trace_to_bytes`."""
-    _deprecated("dumps", 'trace_to_bytes(trace, format="binfmt")')
-    out = io.BytesIO()
-    dump_trace(trace, out)
-    return out.getvalue()
-
-
-def loads(data: bytes) -> Trace:
-    """Deprecated: use :func:`repro.tracing.formats.trace_from_bytes`."""
-    _deprecated("loads", "trace_from_bytes(data)")
-    return load_trace(io.BytesIO(data))

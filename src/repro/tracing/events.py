@@ -96,7 +96,7 @@ class TimerEvent(NamedTuple):
         return bool(self.flags & FLAG_DEFERRABLE)
 
     def to_dict(self) -> dict:
-        """JSON-serialisable form (used by Trace.save).
+        """JSON-serialisable form (used by the ``jsonl`` trace format).
 
         ``host``/``cpu`` are only emitted when set so single-host
         traces serialise byte-identically to pre-cluster records.

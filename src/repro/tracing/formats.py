@@ -1,9 +1,6 @@
 """One trace I/O surface: a format registry behind two functions.
 
-Historically the package grew five ways to read or write a trace
-(``save_binary``/``load_binary``/``dumps``/``loads`` on the binary
-codec plus ``Trace.save``/``Trace.load`` for JSON lines).  This module
-collapses them into::
+Every trace read or write goes through::
 
     from repro.tracing import open_trace, write_trace
 

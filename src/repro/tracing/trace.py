@@ -148,31 +148,6 @@ class Trace:
             groups.setdefault(key, []).append(event)
         return [TimerHistory(key, evs) for key, evs in groups.items()]
 
-    # -- persistence ----------------------------------------------------
-
-    def save(self, path: str) -> None:
-        """Write the trace; the extension picks the format.
-
-        Routes through the format registry
-        (:func:`repro.tracing.formats.write_trace`): ``*.bin`` selects
-        the v2 columnar codec, ``*.bin1`` the legacy v1 codec, anything
-        else gzipped JSON lines.
-        """
-        from .formats import write_trace
-        write_trace(self, path)
-
-    @classmethod
-    def load(cls, path: str) -> "Trace":
-        """Load a trace in any registered format (sniffed by magic)
-        and materialise it as a full in-memory :class:`Trace`.
-
-        Prefer :func:`repro.tracing.open_trace` for large binary
-        traces — it returns the zero-copy columnar view instead of
-        hydrating every event up front.
-        """
-        from .formats import materialize, open_trace
-        return materialize(open_trace(path))
-
     def __len__(self) -> int:
         return len(self.events)
 

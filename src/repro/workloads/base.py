@@ -77,9 +77,8 @@ def run_cluster_workload(os_name, workload: str, duration_ns=None, *,
 #: Figure 1 desktop trace is always 90 s).  Two optional trailing
 #: fields extend a job to a cluster request: (..., hosts, cpus) —
 #: ``hosts > 1`` routes through :func:`run_cluster_workload` (the
-#: workload must be a registered scene), ``cpus > 1`` runs the
-#: engine on the per-CPU sharded wheel (trace bytes are identical at
-#: any CPU count, so this is purely a topology/scaling knob).
+#: workload must be a registered scene) and ``cpus`` sizes the v3
+#: trace ``cpu`` column its members stamp.
 TraceJob = Tuple[str, str, Optional[int], int]
 
 
@@ -98,6 +97,8 @@ def _run_one(job: TraceJob, sink_factory, retain_events: bool,
     os_name, workload, duration_ns, seed = job[:4]
     hosts = job[4] if len(job) > 4 else 1
     cpus = job[5] if len(job) > 5 else 1
+    if cpus > 1 and hosts <= 1:
+        raise ValueError(f"job {job!r}: cpus > 1 needs hosts > 1")
     from . import run_workload          # registry lives in the package
     sinks = list(sink_factory(os_name, workload)) if sink_factory else None
     if hosts > 1:
@@ -105,12 +106,6 @@ def _run_one(job: TraceJob, sink_factory, retain_events: bool,
                                    hosts=hosts, cpus=cpus, seed=seed,
                                    sinks=sinks,
                                    retain_events=retain_events)
-    elif cpus > 1:
-        from ..sim.sched import use_scheduler
-        with use_scheduler(f"sharded:{cpus}"):
-            run = run_workload(os_name, workload, duration_ns,
-                               seed=seed, sinks=sinks,
-                               retain_events=retain_events)
     else:
         run = run_workload(os_name, workload, duration_ns, seed=seed,
                            sinks=sinks, retain_events=retain_events)

@@ -13,6 +13,7 @@ from repro.core import (TraceIndex, duration_scatter, origin_table,
 from repro.core.analyze import Analysis
 from repro.core.streaming import ProgressSink
 from repro.sim.clock import MINUTE
+from repro.tracing import write_trace
 
 DURATION = int(0.5 * MINUTE)
 
@@ -107,7 +108,7 @@ class TestAnalyzeSurface:
     def test_batch_inputs_agree(self, linux_pair, tmp_path):
         trace, _suite = linux_pair
         path = tmp_path / "t.jsonl.gz"
-        trace.save(str(path))
+        write_trace(trace, str(path))
         by_trace = analyze(trace)
         by_index = analyze(TraceIndex.of(trace))
         by_path = analyze(path)

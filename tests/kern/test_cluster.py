@@ -46,6 +46,8 @@ def test_machine_validates_identity():
         Machine("linux", host_id=256)
     with pytest.raises(ValueError):
         Machine("linux", cpus=0)
+    with pytest.raises(ValueError):
+        Machine("linux", cpus=2)
 
 
 # -- host/cpu stamping -----------------------------------------------------

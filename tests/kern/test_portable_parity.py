@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import classify_trace, summarize
 from repro.kern import backend_names
-from repro.tracing import binfmt
+from repro.tracing import trace_to_bytes
 from repro.workloads import run_workload
 from repro.workloads.portable import (PORTABLE_IDLE, PORTABLE_MIX,
                                       PORTABLE_SERVERFARM,
@@ -36,7 +36,8 @@ def _class_counts(trace):
 def test_portable_matches_legacy_trace_bytes(os_name, portable):
     legacy = run_workload(os_name, portable.name, DURATION_NS, seed=0)
     ported = portable.run(os_name, DURATION_NS, seed=0)
-    assert binfmt.dumps(ported.trace) == binfmt.dumps(legacy.trace)
+    assert (trace_to_bytes(ported.trace, format="binfmt")
+            == trace_to_bytes(legacy.trace, format="binfmt"))
 
 
 @pytest.mark.parametrize("os_name", ["linux", "vista"])
@@ -51,7 +52,8 @@ def test_portable_matches_legacy_taxonomy(os_name):
 def test_portable_run_is_seed_stable(os_name):
     first = PORTABLE_IDLE.run(os_name, DURATION_NS, seed=7)
     second = PORTABLE_IDLE.run(os_name, DURATION_NS, seed=7)
-    assert binfmt.dumps(first.trace) == binfmt.dumps(second.trace)
+    assert (trace_to_bytes(first.trace, format="binfmt")
+            == trace_to_bytes(second.trace, format="binfmt"))
 
 
 @pytest.mark.parametrize("os_name", ["linux", "vista"])
@@ -82,7 +84,8 @@ def test_portable_mix_sites_name_the_app_timer():
 def test_portable_registry_entry_matches_direct_run():
     via_registry = run_workload("linux", "portable", DURATION_NS, seed=0)
     direct = PORTABLE_MIX.run("linux", DURATION_NS, seed=0)
-    assert binfmt.dumps(via_registry.trace) == binfmt.dumps(direct.trace)
+    assert (trace_to_bytes(via_registry.trace, format="binfmt")
+            == trace_to_bytes(direct.trace, format="binfmt"))
 
 
 def test_run_portable_rejects_unknown_names():

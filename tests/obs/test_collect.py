@@ -5,7 +5,7 @@ import pytest
 
 from repro.obs import MetricsRegistry, collect_run
 from repro.sim.clock import SECOND
-from repro.tracing.binfmt import dumps
+from repro.tracing import trace_to_bytes
 from repro.workloads.portable import run_portable
 
 
@@ -145,12 +145,12 @@ class TestStreamingMetrics:
 
 class TestCollectionMechanics:
     def test_collection_does_not_perturb(self, linux_run):
-        before = dumps(linux_run.trace)
+        before = trace_to_bytes(linux_run.trace, format="binfmt")
         engine_dispatched = linux_run.kernel.engine.dispatched
         snap_a = linux_run.metrics()
         snap_b = linux_run.metrics()
         assert snap_a.identical(snap_b)       # repeatable, incl. wall
-        assert dumps(linux_run.trace) == before
+        assert trace_to_bytes(linux_run.trace, format="binfmt") == before
         assert linux_run.kernel.engine.dispatched == engine_dispatched
 
     def test_shared_registry_aggregates_runs(self, linux_run,

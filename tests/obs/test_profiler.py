@@ -125,17 +125,19 @@ class TestProfileContext:
 
         run_a, prof_a = run_once()
         run_b, prof_b = run_once()
-        from repro.tracing.binfmt import dumps
-        assert dumps(run_a.trace) == dumps(run_b.trace)
+        from repro.tracing import trace_to_bytes
+        assert (trace_to_bytes(run_a.trace, format="binfmt")
+                == trace_to_bytes(run_b.trace, format="binfmt"))
         assert {k: (s.events, s.virtual_ns)
                 for k, s in prof_a.stats.items()} \
             == {k: (s.events, s.virtual_ns)
                 for k, s in prof_b.stats.items()}
 
     def test_unprofiled_run_matches_profiled_trace(self):
-        from repro.tracing.binfmt import dumps
+        from repro.tracing import trace_to_bytes
         from repro.workloads.portable import run_portable
         plain = run_portable("webserver", "vista", SECOND, seed=5)
         with profile():
             profiled = run_portable("webserver", "vista", SECOND, seed=5)
-        assert dumps(plain.trace) == dumps(profiled.trace)
+        assert (trace_to_bytes(plain.trace, format="binfmt")
+                == trace_to_bytes(profiled.trace, format="binfmt"))

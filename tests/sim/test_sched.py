@@ -7,12 +7,11 @@ import pytest
 
 from repro.sim import Engine, SimulationError
 from repro.sim.clock import MILLISECOND, SECOND, HOUR
-from repro.sim.sched import (GRAN_BITS, WHEEL_SPAN, HeapScheduler,
-                             ShardedWheelScheduler, WheelScheduler,
+from repro.sim.sched import (GRAN_BITS, WHEEL_SPAN, WheelScheduler,
                              default_scheduler, make_scheduler,
                              use_scheduler)
 
-BOTH = pytest.mark.parametrize("kind", ["heap", "wheel", "sharded:2"])
+BOTH = pytest.mark.parametrize("kind", ["heap", "wheel"])
 
 #: Spans that land in every wheel level plus the overflow heap.
 LEVEL_SPANS = [
@@ -44,6 +43,8 @@ def test_unknown_scheduler_rejected():
         Engine(scheduler="splay-tree")
     with pytest.raises(ValueError):
         make_scheduler("calendar")
+    with pytest.raises(ValueError):
+        make_scheduler("sharded:2")
 
 
 def test_use_scheduler_scopes_the_default():
@@ -276,16 +277,7 @@ def test_heap_and_wheel_dispatch_identically(seed):
             == _random_workout("wheel", seed))
 
 
-@pytest.mark.parametrize("cpus", [2, 4])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sharded_wheel_matches_heap_dispatch(seed, cpus):
-    """The k-way merge over per-CPU shards reproduces the reference
-    heap's dispatch log exactly, churn and all."""
-    assert (_random_workout("heap", seed)
-            == _random_workout(f"sharded:{cpus}", seed))
-
-
-# -- wheel edge cases: slot reuse, overflow refeed, shard migration --------
+# -- wheel edge cases: slot reuse, overflow refeed ---------------------------
 
 def test_cancel_all_compaction_then_rearm_reuses_slots():
     """Cancel a whole batch, force a compaction sweep, then re-arm into
@@ -343,43 +335,6 @@ def test_overflow_refeed_at_top_level_wrap():
     assert sum(sched.occupancy().values()) == 0
 
 
-def test_periodic_rearm_crosses_shard_boundary():
-    """A periodic timer's re-arm draws a fresh seq, so on the sharded
-    wheel it migrates between CPU shards — and the dispatch sequence
-    must still match the single wheel exactly."""
-    def run_periodic(spec):
-        engine = Engine(scheduler=spec)
-        log = []
-        seqs = []
-
-        def tick(n):
-            log.append((engine.now, n))
-            if n < 8:
-                seqs.append(engine.call_after(3 * MILLISECOND,
-                                              tick, n + 1).seq)
-
-        seqs.append(engine.call_after(3 * MILLISECOND, tick, 0).seq)
-        # Background traffic keeps the other shards non-empty so the
-        # merge actually has heads to compare.
-        for i in range(10):
-            engine.call_at(2 * MILLISECOND + i * 7 * MILLISECOND,
-                           log.append, ("bg", i))
-        engine.run()
-        return log, seqs
-
-    base, _ = run_periodic("wheel")
-    for cpus in (2, 3, 4):
-        log, seqs = run_periodic(f"sharded:{cpus}")
-        assert log == base
-        sched = ShardedWheelScheduler(cpus)
-        homes = [sched.cpu_for(seq) for seq in seqs]
-        # Consecutive re-arms land on different shards (the rebalanced-
-        # connection behaviour the docstring promises)...
-        assert any(a != b for a, b in zip(homes, homes[1:]))
-        # ...and over the timer's lifetime every CPU hosted it.
-        assert sorted(set(homes)) == list(range(cpus))
-
-
 # -- bounded garbage (TIME_WAIT pattern) -----------------------------------
 
 @BOTH
@@ -400,10 +355,7 @@ def test_mass_arm_cancel_does_not_grow_memory(kind):
     # queued than the 60k cumulatively armed.
     assert sched.compactions > 0
     assert sched.reclaimed > (rounds - 2) * batch
-    # On the sharded wheel each shard runs its own compaction
-    # threshold, hence the cpus multiplier on the slack terms.
-    shards = getattr(sched, "cpus", 1)
-    slack = sched.compact_threshold * 2 * shards
+    slack = sched.compact_threshold * 2
     assert sched.queued() <= slack + batch
     if kind == "heap":
         assert len(sched._heap) <= slack + batch

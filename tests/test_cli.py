@@ -24,8 +24,8 @@ class TestRunAndAnalyze:
         out = str(tmp_path / "trace.jsonl.gz")
         assert main(["run", "linux", "idle", "--minutes", "0.5",
                      "--out", out]) == 0
-        from repro.tracing import Trace
-        trace = Trace.load(out)
+        from repro.tracing import materialize, open_trace
+        trace = materialize(open_trace(out))
         assert trace.os_name == "linux"
         assert len(trace) > 100
 
@@ -91,14 +91,14 @@ class TestClusterFlags:
                      "--out", flagged]) == 0
         assert open(plain, "rb").read() == open(flagged, "rb").read()
 
-    def test_cpus_only_is_byte_identical_to_plain_run(self, tmp_path):
-        plain = str(tmp_path / "plain.bin")
-        sharded = str(tmp_path / "sharded.bin")
-        assert main(["run", "vista", "webserver", "--minutes", "0.25",
-                     "--out", plain]) == 0
-        assert main(["run", "vista", "webserver", "--minutes", "0.25",
-                     "--cpus", "4", "--out", sharded]) == 0
-        assert open(plain, "rb").read() == open(sharded, "rb").read()
+    @pytest.mark.parametrize("argv", [["run", "vista", "webserver"],
+                                      ["study"], ["sec51"], ["serve"]],
+                             ids=lambda argv: argv[0])
+    def test_cpus_without_hosts_exits_2(self, argv, capsys):
+        """--cpus only sets the cpu column of cluster traces; on a
+        single host it would do nothing, so it is refused."""
+        assert main(argv + ["--cpus", "2"]) == 2
+        assert "--hosts > 1" in capsys.readouterr().err
 
     def test_cluster_analyze_parallel_matches_serial(self, tmp_path,
                                                      capsys):

@@ -17,7 +17,7 @@ import pytest
 
 from repro.kern import backend_names
 from repro.sim.clock import SECOND
-from repro.tracing.binfmt import dumps
+from repro.tracing import trace_to_bytes
 from repro.workloads.portable import PORTABLE_WORKLOADS, run_portable
 
 #: 20 seeds drawn once, deterministically, from a wide range.
@@ -39,7 +39,8 @@ def test_trace_and_metrics_reproducible(combo):
     for seed in SEEDS:
         first = run_portable(workload, os_name, DURATION_NS, seed=seed)
         second = run_portable(workload, os_name, DURATION_NS, seed=seed)
-        blob_a, blob_b = dumps(first.trace), dumps(second.trace)
+        blob_a = trace_to_bytes(first.trace, format="binfmt")
+        blob_b = trace_to_bytes(second.trace, format="binfmt")
         assert blob_a == blob_b, \
             f"{os_name}/{workload} seed {seed}: trace bytes diverged"
         snap_a, snap_b = first.metrics(), second.metrics()
@@ -55,8 +56,9 @@ def test_seeds_actually_differ(combo):
     """Different seeds must change the trace — otherwise the sweep
     above would be vacuously comparing one canned run."""
     os_name, workload = combo
-    blobs = {dumps(run_portable(workload, os_name, DURATION_NS,
-                                seed=seed).trace)
+    blobs = {trace_to_bytes(run_portable(workload, os_name, DURATION_NS,
+                                         seed=seed).trace,
+                            format="binfmt")
              for seed in SEEDS[:4]}
     assert len(blobs) == 4
 
@@ -70,5 +72,6 @@ def test_collection_is_observation_only():
                             seed=SEEDS[0])
     observed.metrics()
     observed.metrics()                 # twice, for good measure
-    assert dumps(plain.trace) == dumps(observed.trace)
+    assert (trace_to_bytes(plain.trace, format="binfmt")
+            == trace_to_bytes(observed.trace, format="binfmt"))
     assert plain.metrics() == observed.metrics()

@@ -1,12 +1,10 @@
 """Scheduler differential: every registered backend x portable
-workload must produce byte-identical traces on every engine scheduler
-— the reference heap, the timing wheel, and the per-CPU sharded wheel
-at several shard counts.
+workload must produce byte-identical traces on both engine schedulers
+— the reference heap and the timing wheel.
 
-This is the proof obligation for the scheduler layer: neither the
-wheel nor the sharded k-way merge reorders anything.  Kernels build
-their engines internally, so the alternative schedulers are forced
-through :func:`repro.sim.use_scheduler`.
+This is the proof obligation for the scheduler layer: the wheel
+reorders nothing.  Kernels build their engines internally, so the
+schedulers are forced through :func:`repro.sim.use_scheduler`.
 """
 
 import pytest
@@ -23,42 +21,17 @@ SEED = 20080430
 MATRIX = [(os_name, workload) for os_name in backend_names()
           for workload in sorted(PORTABLE_WORKLOADS)]
 
-#: Heap-scheduler trace bytes per combo, computed once and compared
-#: against every alternative scheduler.
-_heap_bytes: dict = {}
 
-
-def heap_reference(os_name, workload):
-    key = (os_name, workload)
-    if key not in _heap_bytes:
-        with use_scheduler("heap"):
-            run = run_portable(workload, os_name, DURATION_NS, seed=SEED)
-        _heap_bytes[key] = trace_to_bytes(run.trace)
-    return _heap_bytes[key]
+def trace_bytes(kind, os_name, workload):
+    with use_scheduler(kind):
+        run = run_portable(workload, os_name, DURATION_NS, seed=SEED)
+    return trace_to_bytes(run.trace)
 
 
 @pytest.mark.parametrize("combo", MATRIX,
                          ids=lambda pair: f"{pair[0]}-{pair[1]}")
 def test_wheel_matches_heap_trace_bytes(combo):
     os_name, workload = combo
-    with use_scheduler("wheel"):
-        wheel_run = run_portable(workload, os_name, DURATION_NS,
-                                 seed=SEED)
-    assert trace_to_bytes(wheel_run.trace) == \
-        heap_reference(os_name, workload), \
+    assert trace_bytes("wheel", os_name, workload) == \
+        trace_bytes("heap", os_name, workload), \
         f"{os_name}/{workload}: wheel diverged from heap"
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-@pytest.mark.parametrize("combo", MATRIX,
-                         ids=lambda pair: f"{pair[0]}-{pair[1]}")
-def test_sharded_wheel_matches_heap_trace_bytes(combo, cpus):
-    """The cluster layer's invariant: per-CPU sharding is invisible in
-    the trace bytes at any shard count."""
-    os_name, workload = combo
-    with use_scheduler(f"sharded:{cpus}"):
-        sharded_run = run_portable(workload, os_name, DURATION_NS,
-                                   seed=SEED)
-    assert trace_to_bytes(sharded_run.trace) == \
-        heap_reference(os_name, workload), \
-        f"{os_name}/{workload}: sharded:{cpus} diverged from heap"

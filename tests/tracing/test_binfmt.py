@@ -1,15 +1,26 @@
 """Tests for the binary trace codec, including a hypothesis roundtrip."""
 
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.clock import MINUTE, SECOND
-from repro.tracing import (EventKind, TimerEvent, Trace, dumps,
-                           load_binary, loads, save_binary)
+from repro.tracing import (EventKind, TimerEvent, Trace, materialize,
+                           open_trace, trace_from_bytes, trace_to_bytes,
+                           write_trace)
 from repro.workloads import run_workload
+
+
+def to_v1(trace):
+    return trace_to_bytes(trace, format="binfmt")
+
+
+def from_v1(data):
+    return trace_from_bytes(data, format="binfmt")
+
+
+def load(path):
+    return materialize(open_trace(path))
 
 
 def sample_trace():
@@ -31,7 +42,7 @@ def sample_trace():
 class TestRoundtrip:
     def test_bytes_roundtrip(self):
         trace = sample_trace()
-        clone = loads(dumps(trace))
+        clone = from_v1(to_v1(trace))
         assert clone.os_name == trace.os_name
         assert clone.workload == trace.workload
         assert clone.duration_ns == trace.duration_ns
@@ -45,23 +56,23 @@ class TestRoundtrip:
     def test_file_roundtrip(self, tmp_path):
         trace = sample_trace()
         path = str(tmp_path / "trace.bin")
-        save_binary(trace, path)
-        clone = load_binary(path)
+        write_trace(trace, path, format="binfmt")
+        clone = load(path)
         assert len(clone.events) == len(trace.events)
 
     def test_sites_are_interned_on_load(self):
-        clone = loads(dumps(sample_trace()))
+        clone = from_v1(to_v1(sample_trace()))
         assert clone.events[0].site is clone.events[1].site
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
-            loads(b"NOTATRACE" + b"\x00" * 64)
+            from_v1(b"NOTATRACE" + b"\x00" * 64)
 
     def test_binary_is_smaller_than_json(self, tmp_path):
         run = run_workload("linux", "idle", 30 * SECOND, seed=1)
-        binary = dumps(run.trace)
+        binary = to_v1(run.trace)
         json_path = tmp_path / "t.jsonl.gz"
-        run.trace.save(str(json_path))
+        write_trace(run.trace, str(json_path))
         import gzip
         with gzip.open(json_path, "rb") as fh:
             json_size = len(fh.read())
@@ -69,7 +80,7 @@ class TestRoundtrip:
 
     def test_workload_trace_roundtrip(self):
         run = run_workload("vista", "idle", 20 * SECOND, seed=3)
-        clone = loads(dumps(run.trace))
+        clone = from_v1(to_v1(run.trace))
         assert len(clone.events) == len(run.trace.events)
         from repro.core import summarize
         assert summarize(clone) == summarize(run.trace)
@@ -103,7 +114,7 @@ class TestProperty:
         events.sort(key=lambda e: e.ts)
         trace = Trace(os_name=os_name, workload="prop",
                       duration_ns=2**50, events=events)
-        clone = loads(dumps(trace))
+        clone = from_v1(to_v1(trace))
         assert len(clone.events) == len(events)
         for a, b in zip(events, clone.events):
             assert a.to_dict() == b.to_dict()
@@ -120,7 +131,8 @@ def events_equal(a, b):
 
 
 class TestFormatDispatch:
-    """Trace.save/load pick the codec from the extension; both formats
+    """write_trace picks the codec from the extension and open_trace
+    sniffs it back; both formats
     preserve every event field, so jsonl <-> binary round-trips are
     lossless in either direction."""
 
@@ -128,12 +140,12 @@ class TestFormatDispatch:
         trace = sample_trace()
         bin_path = str(tmp_path / "t.bin")
         jsonl_path = str(tmp_path / "t.jsonl.gz")
-        trace.save(bin_path)
-        trace.save(jsonl_path)
+        write_trace(trace, bin_path)
+        write_trace(trace, jsonl_path)
         with open(bin_path, "rb") as fh:
             assert fh.read(8) == b"TMRTRACE"
         for path in (bin_path, jsonl_path):
-            clone = Trace.load(path)
+            clone = load(path)
             assert clone.os_name == trace.os_name
             assert clone.workload == trace.workload
             assert clone.duration_ns == trace.duration_ns
@@ -143,12 +155,12 @@ class TestFormatDispatch:
         """jsonl -> binary -> jsonl keeps every field of every event."""
         run = run_workload("vista", "skype", 15 * SECOND, seed=9)
         jsonl_path = str(tmp_path / "a.jsonl.gz")
-        run.trace.save(jsonl_path)
-        via_jsonl = Trace.load(jsonl_path)
+        write_trace(run.trace, jsonl_path)
+        via_jsonl = load(jsonl_path)
         bin_path = str(tmp_path / "b.bin")
-        via_jsonl.save(bin_path)
-        via_bin = Trace.load(bin_path)
+        write_trace(via_jsonl, bin_path)
+        via_bin = load(bin_path)
         assert events_equal(via_bin, run.trace)
         jsonl_again = str(tmp_path / "c.jsonl.gz")
-        via_bin.save(jsonl_again)
-        assert events_equal(Trace.load(jsonl_again), run.trace)
+        write_trace(via_bin, jsonl_again)
+        assert events_equal(load(jsonl_again), run.trace)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.tracing import (CallSiteRegistry, CountingSink, EtwSession,
                            EventKind, RelayBuffer, TeeSink, TimerEvent,
-                           Trace)
+                           Trace, materialize, open_trace, write_trace)
 from repro.tracing.events import FLAG_WAIT_SATISFIED
 from repro.tracing.relay import APPROX_RECORD_BYTES
 
@@ -159,8 +159,8 @@ class TestTrace:
     def test_save_load_roundtrip(self, tmp_path):
         trace = self._trace()
         path = str(tmp_path / "trace.jsonl.gz")
-        trace.save(path)
-        loaded = Trace.load(path)
+        write_trace(trace, path)
+        loaded = materialize(open_trace(path))
         assert loaded.os_name == "linux"
         assert loaded.workload == "test"
         assert len(loaded) == len(trace)

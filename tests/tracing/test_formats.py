@@ -1,10 +1,8 @@
 """Tests for the unified trace I/O surface (:mod:`repro.tracing.formats`)
 and the v2 zero-copy columnar codec (:mod:`repro.tracing.binfmt2`)."""
 
-import ast
 import gzip
 import os
-import warnings
 
 import pytest
 
@@ -320,45 +318,3 @@ class TestErrorPaths:
     def test_cli_exit_2_on_missing_trace(self, tmp_path, capsys):
         from repro.cli import main
         assert main(["analyze", str(tmp_path / "nope.bin")]) == 2
-
-
-class TestDeprecationShims:
-    def test_old_names_warn_once_and_still_work(self):
-        from repro.tracing import binfmt
-        from repro import tracing
-        binfmt._warned.clear()
-        trace = golden_trace()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            blob = tracing.dumps(trace)
-            clone = tracing.loads(blob)
-            tracing.dumps(trace)     # second call: no new warning
-        assert_events_equal(trace.events, clone.events)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 2        # dumps once, loads once
-        assert "trace_to_bytes" in str(deprecations[0].message)
-
-    def test_no_internal_caller_imports_deprecated_names(self):
-        """The CI gate (satellite 5): production code must use the
-        formats API; only the defining module may mention the old
-        names."""
-        import repro
-        deprecated = {"save_binary", "load_binary", "dumps", "loads"}
-        offenders = []
-        root = os.path.dirname(repro.__file__)
-        for dirpath, _dirnames, filenames in os.walk(root):
-            for filename in filenames:
-                if not filename.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, filename)
-                rel = os.path.relpath(path, root)
-                if rel == os.path.join("tracing", "binfmt.py"):
-                    continue             # the shims' own home
-                tree = ast.parse(open(path, encoding="utf-8").read())
-                for node in ast.walk(tree):
-                    if isinstance(node, ast.ImportFrom):
-                        for alias in node.names:
-                            if alias.name in deprecated:
-                                offenders.append((rel, alias.name))
-        assert offenders == []

@@ -12,7 +12,7 @@ import pytest
 from repro.linuxkern.subsystems.net import (SITE_DELACK, SITE_KEEPALIVE,
                                             SITE_RTO, SITE_TIMEWAIT)
 from repro.sim.clock import SECOND
-from repro.tracing import binfmt
+from repro.tracing import trace_to_bytes
 from repro.workloads import run_workload
 from repro.workloads.serverfarm import (SITE_VISTA_REXMIT,
                                         SITE_VISTA_TIMEWAIT,
@@ -84,4 +84,5 @@ class TestDeterminism:
                   else run_vista_serverfarm)
         first = runner(5 * SECOND, seed=9, connections=35)
         second = runner(5 * SECOND, seed=9, connections=35)
-        assert binfmt.dumps(first.trace) == binfmt.dumps(second.trace)
+        assert (trace_to_bytes(first.trace, format="binfmt")
+                == trace_to_bytes(second.trace, format="binfmt"))
