@@ -31,6 +31,7 @@ Results go to ``BENCH_scale.json``.  Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -182,6 +183,9 @@ def host_scaling_run(hosts: int, *, total_connections: int,
     over ``hosts`` machines sharing one engine."""
     from repro.kern import Cluster
     per_host = total_connections // hosts
+    # The previous run's cluster is cyclic garbage; collect it before
+    # the clock starts, or its collection lands inside this timed run.
+    gc.collect()
     t0 = time.perf_counter()
     cluster = Cluster("linux", hosts=hosts, cpus=cpus, seed=seed,
                       retain_events=False)

@@ -79,7 +79,7 @@ class Machine:
     Cluster identity: ``host_id`` names this machine inside a
     :class:`~repro.kern.cluster.Cluster` (0 — the default — means a
     standalone box and leaves the event stream untouched; cluster
-    members are numbered from 1 and every record they emit is stamped
+    members are numbered from 1 and every record they keep is stamped
     through a :class:`~repro.tracing.relay.HostStampSink`).  ``cpus``
     sets the v3 trace ``cpu`` column that stamping writes on cluster
     members (``(timer_id >> 6) % cpus``), so ``cpus > 1`` needs a
@@ -107,8 +107,11 @@ class Machine:
         self.host_id = host_id
         self.cpus = cpus
         self.buffer = spec.buffer_factory() if retain_events else NullSink()
+        # A discarding buffer stays bare, even on a cluster member: the
+        # kernel then builds no record at all (stamping one to drop it
+        # would cost a record and a copy).
         kernel_sink = HostStampSink(self.buffer, host_id, cpus) \
-            if host_id else self.buffer
+            if host_id and retain_events else self.buffer
         kwargs = dict(seed=seed, sink=kernel_sink)
         if engine is not None:
             kwargs["engine"] = engine

@@ -18,7 +18,8 @@ import heapq
 from typing import Callable, Optional, Tuple
 
 from ..sim.tasks import Task
-from ..tracing.events import EventKind, TimerEvent
+from ..tracing.events import EventKind, TimerEvent, new_record
+from ..tracing.relay import SinkSlot
 
 
 class Hrtimer:
@@ -46,6 +47,8 @@ class Hrtimer:
 class HrtimerBase:
     """All hrtimers of the machine, driven directly by the event engine."""
 
+    sink = SinkSlot()
+
     def __init__(self, engine, sink, sites):
         self.engine = engine
         self.sink = sink
@@ -58,17 +61,19 @@ class HrtimerBase:
     def _emit(self, kind: EventKind, timer: Hrtimer,
               timeout_ns: Optional[int] = None,
               expires_ns: Optional[int] = None) -> None:
-        self.sink.emit(TimerEvent(kind, self.engine.now, timer.timer_id,
-                                  timer.owner.pid, timer.owner.comm,
-                                  timer.owner.domain, timer.site,
-                                  timeout_ns, expires_ns))
+        """Log one record; callers test ``self.recording`` first."""
+        owner = timer.owner
+        self._sink.emit(new_record(TimerEvent, (
+            kind, self.engine.now, timer.timer_id, owner.pid, owner.comm,
+            owner.domain, timer.site, timeout_ns, expires_ns, 0, 0, 0)))
 
     def hrtimer_init(self, function: Optional[Callable] = None, *,
                      site: Tuple[str, ...], owner: Task) -> Hrtimer:
         self._next_id += 0x40
         timer = Hrtimer(self._next_id, function, self.sites.intern(site),
                         owner)
-        self._emit(EventKind.INIT, timer)
+        if self.recording:
+            self._emit(EventKind.INIT, timer)
         return timer
 
     def hrtimer_start(self, timer: Hrtimer, expires_ns: int) -> None:
@@ -77,16 +82,17 @@ class HrtimerBase:
         timer.expires_ns = expires_ns
         timer._armed_seq = self._seq
         heapq.heappush(self._heap, (expires_ns, self._seq, timer))
-        self._emit(EventKind.SET, timer,
-                   timeout_ns=expires_ns - self.engine.now,
-                   expires_ns=expires_ns)
+        if self.recording:
+            self._emit(EventKind.SET, timer, expires_ns - self.engine.now,
+                       expires_ns)
         self._reprogram()
 
     def hrtimer_cancel(self, timer: Hrtimer) -> bool:
         was_pending = timer._armed_seq is not None
         timer._armed_seq = None
-        self._emit(EventKind.CANCEL, timer,
-                   expires_ns=timer.expires_ns if was_pending else None)
+        if self.recording:
+            self._emit(EventKind.CANCEL, timer, None,
+                       timer.expires_ns if was_pending else None)
         return was_pending
 
     # -- expiry ---------------------------------------------------------
@@ -113,7 +119,8 @@ class HrtimerBase:
             if timer._armed_seq != seq:
                 continue
             timer._armed_seq = None
-            self._emit(EventKind.EXPIRE, timer, expires_ns=expires)
+            if self.recording:
+                self._emit(EventKind.EXPIRE, timer, None, expires)
             if timer.function is not None:
                 timer.function(timer)
         self._reprogram()

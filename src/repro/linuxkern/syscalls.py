@@ -156,10 +156,10 @@ class SyscallInterface:
             # the syscall), which is why zero is a common value in the
             # paper's Figure 6.
             base = self.kernel.timers
-            base._emit(EventKind.SET, timer, timeout_ns=0,
-                       expires_ns=self.kernel.engine.now)
-            base._emit(EventKind.EXPIRE, timer,
-                       expires_ns=self.kernel.engine.now)
+            if base.recording:
+                now = self.kernel.engine.now
+                base._emit(EventKind.SET, timer, 0, now)
+                base._emit(EventKind.EXPIRE, timer, None, now)
             call.done = True
             on_return(WakeReason.TIMEOUT, 0)
             return call

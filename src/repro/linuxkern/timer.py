@@ -24,7 +24,8 @@ from typing import Callable, Optional, Tuple
 from ..sim.clock import JIFFY
 from ..sim.tasks import Task
 from ..tracing.events import (FLAG_DEFERRABLE, FLAG_ROUNDED, EventKind,
-                              TimerEvent)
+                              TimerEvent, new_record)
+from ..tracing.relay import SinkSlot
 from .wheel import TimerWheel, WheelTimer
 
 
@@ -68,8 +69,12 @@ class TimerBase:
     """One ``tvec_base``: the timer wheel plus tracing, per CPU.
 
     On a multiprocessor each CPU owns one of these, and the machine's
-    timers form the paper's "forest" of per-CPU facilities.
+    timers form the paper's "forest" of per-CPU facilities.  With a
+    sink that keeps nothing, ``recording`` is False and no call site
+    builds a record (see :class:`~repro.tracing.relay.SinkSlot`).
     """
+
+    sink = SinkSlot()
 
     def __init__(self, engine, sink, sites, *, cpu: int = 0,
                  id_counter=None) -> None:
@@ -100,12 +105,13 @@ class TimerBase:
     def _emit(self, kind: EventKind, timer: KernelTimer,
               timeout_ns: Optional[int] = None,
               expires_ns: Optional[int] = None, flags: int = 0) -> None:
+        """Log one record; callers test ``self.recording`` first."""
         if timer.deferrable:
             flags |= FLAG_DEFERRABLE
-        self.sink.emit(TimerEvent(kind, self.engine.now, timer.timer_id,
-                                  timer.owner.pid, timer.owner.comm,
-                                  timer.domain, timer.site, timeout_ns,
-                                  expires_ns, flags))
+        owner = timer.owner
+        self._sink.emit(new_record(TimerEvent, (
+            kind, self.engine.now, timer.timer_id, owner.pid, owner.comm,
+            timer.domain, timer.site, timeout_ns, expires_ns, flags, 0, 0)))
 
     # -- the instrumented API --------------------------------------------
 
@@ -117,7 +123,8 @@ class TimerBase:
         timer = KernelTimer(self._alloc_id(), self, function,
                             self.sites.intern(site), owner,
                             deferrable=deferrable, domain=domain)
-        self._emit(EventKind.INIT, timer)
+        if self.recording:
+            self._emit(EventKind.INIT, timer)
         return timer
 
     def mod_timer(self, timer: KernelTimer, expires: int, *,
@@ -135,11 +142,11 @@ class TimerBase:
         if site is not None:
             timer.site = self.sites.intern(site)
         self.wheel.add(timer, expires)
-        observed = timeout_ns if timeout_ns is not None \
-            else expires * JIFFY - self.engine.now
-        self._emit(EventKind.SET, timer, timeout_ns=observed,
-                   expires_ns=expires * JIFFY,
-                   flags=FLAG_ROUNDED if rounded else 0)
+        if self.recording:
+            observed = timeout_ns if timeout_ns is not None \
+                else expires * JIFFY - self.engine.now
+            self._emit(EventKind.SET, timer, observed, expires * JIFFY,
+                       FLAG_ROUNDED if rounded else 0)
         return was_pending
 
     def mod_timer_rel(self, timer: KernelTimer, delta_jiffies: int,
@@ -156,8 +163,9 @@ class TimerBase:
     def del_timer(self, timer: KernelTimer) -> bool:
         """``del_timer``: cancel.  Safe (and traced) when not pending."""
         was_pending = self.wheel.remove(timer)
-        self._emit(EventKind.CANCEL, timer,
-                   expires_ns=timer.expires * JIFFY if was_pending else None)
+        if self.recording:
+            self._emit(EventKind.CANCEL, timer, None,
+                       timer.expires * JIFFY if was_pending else None)
         return was_pending
 
     def try_to_del_timer_sync(self, timer: KernelTimer):
@@ -184,8 +192,8 @@ class TimerBase:
         return self.wheel.run_timers(self.jiffies, self._fire)
 
     def _fire(self, timer: KernelTimer) -> None:
-        self._emit(EventKind.EXPIRE, timer,
-                   expires_ns=timer.expires * JIFFY)
+        if self.recording:
+            self._emit(EventKind.EXPIRE, timer, None, timer.expires * JIFFY)
         if timer.function is not None:
             self.running_timer = timer
             try:

@@ -40,9 +40,12 @@ class RngStream(random.Random):
         """Log-normal latency with the given median."""
         return median * math.exp(self.gauss(0.0, sigma))
 
-    def choice_weighted(self, items: Sequence, weights: Sequence[float]):
-        """Single weighted choice (thin wrapper, kept for readability)."""
-        return self.choices(items, weights=weights, k=1)[0]
+    def choice_weighted(self, items: Sequence,
+                        cum_weights: Sequence[float]):
+        """Single weighted choice.  Callers accumulate the weights once
+        (``itertools.accumulate``); ``random.choices`` draws the same
+        values from them as from the plain weights."""
+        return self.choices(items, cum_weights=cum_weights, k=1)[0]
 
 
 class RngRegistry:

@@ -7,15 +7,15 @@ satisfied/timed-out boolean (Section 3.3).  ETW captures both kernel-
 and user-mode stacks, which is what later lets the analysis cluster the
 dynamically-allocated KTIMER objects by call site.
 
-Functionally this is a bounded append log like relayfs; the class exists
-separately to model the *schema* difference (wait events, stack pairs).
+The session is the same bounded log as relayfs, a
+:class:`~repro.tracing.relay.RecordLog`; this subclass adds only the
+schema difference: the provider manifest and the thread-unblock record.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
-from .events import TimerEvent, wait_unblock_event
+from .events import wait_unblock_event
+from .relay import RecordLog
 
 #: Provider GUID for the paper's four custom timer events.  Real ETW
 #: providers are keyed by GUID and described by a manifest (name,
@@ -25,7 +25,7 @@ from .events import TimerEvent, wait_unblock_event
 TIMER_PROVIDER_GUID = "{7f0e9c5a-4e75-42d8-b6c2-0d9f1e2a3b4c}"
 
 
-class EtwSession:
+class EtwSession(RecordLog):
     """A logging session with the paper's four custom timer events."""
 
     #: GUID of the provider this session logs; third-party ETW-style
@@ -47,48 +47,9 @@ class EtwSession:
         }
 
     def __init__(self, capacity_events: int = 16_000_000):
-        self.capacity_events = capacity_events
-        self._events: list[TimerEvent] = []
-        #: Same lifetime accounting as RelayBuffer; invariant
-        #: ``emitted == len(self) + dropped + drained``.
-        self.emitted = 0
-        self.dropped = 0
-        self.drained = 0
-        self.high_water = 0
+        super().__init__(capacity_events)
 
-    def emit(self, event: TimerEvent) -> None:
-        self.emitted += 1
-        events = self._events
-        if len(events) >= self.capacity_events:
-            self.dropped += 1
-            return
-        events.append(event)
-        if len(events) > self.high_water:
-            self.high_water = len(events)
-
-    def emit_wait_unblock(self, *, ts_block: int, ts_unblock: int,
-                          timer_id: int, pid: int, comm: str,
-                          site, timeout_ns: Optional[int],
-                          satisfied: bool) -> None:
-        """The single thread-unblock event the paper added.
-
-        It logs both timestamps; we record it as a WAIT_UNBLOCK whose
-        ``timeout_ns`` is the user-supplied timeout and whose
-        ``expires_ns`` field carries the block timestamp so the blocked
-        duration is recoverable, exactly as in the paper's record.
-        """
-        self.emit(wait_unblock_event(
-            ts_block=ts_block, ts_unblock=ts_unblock, timer_id=timer_id,
-            pid=pid, comm=comm, site=site, timeout_ns=timeout_ns,
-            satisfied=satisfied))
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[TimerEvent]:
-        return iter(self._events)
-
-    def drain(self) -> list[TimerEvent]:
-        events, self._events = self._events, []
-        self.drained += len(events)
-        return events
+    def emit_wait_unblock(self, *fields, **named) -> None:
+        """The single thread-unblock event the paper added; the fields
+        are :func:`~repro.tracing.events.wait_unblock_event`'s."""
+        self.emit(wait_unblock_event(*fields, **named))

@@ -1,18 +1,19 @@
-"""relayfs-style ring buffer sink (the Linux instrumentation path).
+"""Trace sinks: the bounded record log and the stream plumbing.
 
 The paper logged binary records into a 512 MiB in-kernel relayfs buffer
 sized so no trace overflowed, with guaranteed event ordering and no
-overwrite of old data (Section 3.2).  :class:`RelayBuffer` mirrors those
-semantics: a capacity bound, append ordering, and an explicit dropped
-counter if the bound is ever hit (the analyses assert it is zero, as the
-paper did by construction).
+overwrite of old data (Section 3.2); the Vista model logs into an ETW
+session with the same semantics (:mod:`repro.tracing.etw`).  Both are a
+:class:`RecordLog`: a capacity bound, append ordering, and an explicit
+dropped counter if the bound is ever hit (the analyses assert it is
+zero, as the paper did by construction).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
-from .events import TimerEvent, wait_unblock_event
+from .events import TimerEvent, new_record, wait_unblock_event
 
 
 #: Rough size of one encoded record; the paper's binary records carried a
@@ -24,41 +25,38 @@ APPROX_RECORD_BYTES = 64
 DEFAULT_CAPACITY_BYTES = 512 * 1024 * 1024
 
 
-class RelayBuffer:
-    """Bounded, ordered, no-overwrite event log."""
+class RecordLog:
+    """Bounded, ordered, no-overwrite event log.
 
-    def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
-        self.capacity_events = max(1, capacity_bytes // APPROX_RECORD_BYTES)
+    Lifetime accounting: ``emitted == len(self) + dropped + drained``
+    always holds.  The boundary is exact: record ``capacity_events`` is
+    retained and record ``capacity_events + 1`` is the first drop.
+    """
+
+    def __init__(self, capacity_events: int):
+        self.capacity_events = capacity_events
         self._events: list[TimerEvent] = []
-        #: Records offered over the buffer's lifetime.  Invariant:
-        #: ``emitted == len(self) + dropped + drained``.
+        #: Records offered over the log's lifetime.
         self.emitted = 0
         self.dropped = 0
         #: Records handed to :meth:`drain` (the user-space reader).
         self.drained = 0
-        #: Most records ever held at once; at most ``capacity_events``.
-        self.high_water = 0
-        #: Emulated per-record instrumentation cost; the paper measured
-        #: 236 cycles to gather and log one record.
-        self.record_cost_cycles = 236
+        self._peak = 0
 
     def emit(self, event: TimerEvent) -> None:
-        """Append one record, or count it as dropped when full.
-
-        The boundary is exact: record ``capacity_events`` is retained,
-        record ``capacity_events + 1`` is the first drop, and
-        ``emitted == retained + dropped + drained`` always holds (the
-        drop accounting previously drifted from the retained count once
-        the buffer had been drained).
-        """
+        """Append one record, or count it as dropped when full."""
         self.emitted += 1
         events = self._events
-        if len(events) >= self.capacity_events:
+        if len(events) < self.capacity_events:
+            events.append(event)
+        else:
             self.dropped += 1
-            return
-        events.append(event)
-        if len(events) > self.high_water:
-            self.high_water = len(events)
+
+    @property
+    def high_water(self) -> int:
+        """Most records ever held at once.  Only :meth:`drain` shrinks
+        the log, so the peak is taken there, not on every append."""
+        return max(self._peak, len(self._events))
 
     def __len__(self) -> int:
         return len(self._events)
@@ -67,33 +65,70 @@ class RelayBuffer:
         return iter(self._events)
 
     def drain(self) -> list[TimerEvent]:
-        """Read out the buffer, emptying it (the user-space reader)."""
+        """Read out the log, emptying it (the user-space reader)."""
+        self._peak = self.high_water
         events, self._events = self._events, []
         self.drained += len(events)
         return events
+
+
+class RelayBuffer(RecordLog):
+    """The relayfs buffer: a :class:`RecordLog` sized in bytes."""
+
+    #: Emulated per-record instrumentation cost; the paper measured
+    #: 236 cycles to gather and log one record.
+    record_cost_cycles = 236
+
+    def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
+        super().__init__(max(1, capacity_bytes // APPROX_RECORD_BYTES))
 
     def estimated_cycles(self) -> int:
         """Total instrumentation cycles charged for this buffer.
 
         Every offered record is charged — the 236 cycles gather the
         record before the capacity check, and records already drained
-        were still paid for (the old ``retained + dropped`` formula
-        forgot them).
+        were still paid for.
         """
         return self.emitted * self.record_cost_cycles
 
 
 class NullSink:
-    """Sink used for 'unmodified kernel' runs in the overhead benchmark
-    and for streaming runs that aggregate without retaining events."""
+    """Keeps nothing: the 'unmodified kernel' of Section 3.2.
+
+    A kernel whose sink is a bare NullSink builds no record at all (see
+    :class:`SinkSlot`), like one with its tracepoints compiled out, as
+    on ``Machine(retain_events=False)``; in a :class:`TeeSink` it is
+    only a no-op member.
+    """
 
     dropped = 0
 
     def emit(self, event: TimerEvent) -> None:  # pragma: no cover - trivial
         pass
 
-    def emit_wait_unblock(self, **kwargs) -> None:  # pragma: no cover
+    def emit_wait_unblock(self, *fields, **named) -> None:  # pragma: no cover
         pass
+
+
+class SinkSlot:
+    """Descriptor for a component's sink and its ``recording`` flag.
+
+    Every bind (construction, ``_sink_rebound`` after ``attach_sink``
+    swaps in a tee, plain assignment) sets ``recording`` False exactly
+    when the sink keeps nothing: None or a bare :class:`NullSink`.
+    Emit sites test the flag before the call; hot paths read the sink
+    from the underscored attribute (``_sink`` for ``sink``).
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.attr = "_" + name
+
+    def __get__(self, obj, objtype=None):
+        return self if obj is None else getattr(obj, self.attr)
+
+    def __set__(self, obj, sink) -> None:
+        setattr(obj, self.attr, sink)
+        obj.recording = sink is not None and type(sink) is not NullSink
 
 
 class TeeSink:
@@ -113,15 +148,9 @@ class TeeSink:
         for sink in self.sinks:
             sink.emit(event)
 
-    def emit_wait_unblock(self, *, ts_block: int, ts_unblock: int,
-                          timer_id: int, pid: int, comm: str, site,
-                          timeout_ns: Optional[int],
-                          satisfied: bool) -> None:
+    def emit_wait_unblock(self, *fields, **named) -> None:
         """Build the unblock record once, fan it out to every sink."""
-        self.emit(wait_unblock_event(
-            ts_block=ts_block, ts_unblock=ts_unblock, timer_id=timer_id,
-            pid=pid, comm=comm, site=site, timeout_ns=timeout_ns,
-            satisfied=satisfied))
+        self.emit(wait_unblock_event(*fields, **named))
 
 
 class HostStampSink:
@@ -145,11 +174,11 @@ class HostStampSink:
         self.cpus = cpus
 
     def emit(self, event: TimerEvent) -> None:
-        self.sink.emit(event._replace(
-            host=self.host, cpu=(event.timer_id >> 6) % self.cpus))
+        self.sink.emit(new_record(TimerEvent, event[:10] + (
+            self.host, (event.timer_id >> 6) % self.cpus)))
 
-    def emit_wait_unblock(self, **kwargs) -> None:
-        self.emit(wait_unblock_event(**kwargs))
+    def emit_wait_unblock(self, *fields, **named) -> None:
+        self.emit(wait_unblock_event(*fields, **named))
 
 
 class CountingSink:

@@ -104,9 +104,6 @@ class Trace:
     def kernel_events(self) -> list[TimerEvent]:
         return [e for e in self.events if e.domain == "kernel"]
 
-    def of_kind(self, kind: EventKind) -> list[TimerEvent]:
-        return [e for e in self.events if e.kind == kind]
-
     # -- correlation ----------------------------------------------------
 
     def instances(self) -> list[TimerHistory]:

@@ -27,7 +27,8 @@ from typing import Callable, Optional, Tuple
 
 from ..linuxkern.syscalls import SyscallInterface, WakeReason
 from ..sim.tasks import Task
-from ..tracing.events import EventKind, TimerEvent
+from ..tracing.events import EventKind, TimerEvent, new_record
+from ..tracing.relay import SinkSlot
 
 
 class UserTimer:
@@ -52,14 +53,17 @@ class UserTimer:
 class UserEventLoop:
     """A reactor multiplexing user timers over one blocking select."""
 
+    #: Optional sink receiving user-layer TimerEvents (the
+    #: instrumentation the paper wishes it had had); ``recording`` is
+    #: False while it is None or keeps nothing.
+    user_sink = SinkSlot()
+
     def __init__(self, machine, comm: str = "reactor", *,
                  task: Optional[Task] = None, user_sink=None):
         self.machine = machine
         self.syscalls: SyscallInterface = machine.syscalls
         self.task = task if task is not None \
             else machine.kernel.tasks.spawn(comm)
-        #: Optional sink receiving user-layer TimerEvents (the
-        #: instrumentation the paper wishes it had had).
         self.user_sink = user_sink
         self._queue: list[tuple[int, int, UserTimer]] = []
         self._seq = 0
@@ -76,12 +80,11 @@ class UserEventLoop:
     def _emit(self, kind: EventKind, timer: UserTimer,
               timeout_ns: Optional[int] = None,
               expires_ns: Optional[int] = None) -> None:
-        if self.user_sink is None:
-            return
-        self.user_sink.emit(TimerEvent(
+        """Log one record; callers test ``self.recording`` first."""
+        self._user_sink.emit(new_record(TimerEvent, (
             kind, self.machine.kernel.engine.now, timer.timer_id,
             self.task.pid, self.task.comm, "user", timer.site,
-            timeout_ns, expires_ns))
+            timeout_ns, expires_ns, 0, 0, 0)))
 
     # -- timer API ----------------------------------------------------------
 
@@ -91,7 +94,8 @@ class UserEventLoop:
         """One-shot user timer after ``delay_ns``."""
         self._next_id += 0x10
         timer = UserTimer(self._next_id, callback, site)
-        self._emit(EventKind.INIT, timer)
+        if self.recording:
+            self._emit(EventKind.INIT, timer)
         self._arm(timer, delay_ns)
         return timer
 
@@ -114,7 +118,8 @@ class UserEventLoop:
         if not timer.armed:
             return False
         timer.armed = False
-        self._emit(EventKind.CANCEL, timer, expires_ns=timer.due_ns)
+        if self.recording:
+            self._emit(EventKind.CANCEL, timer, None, timer.due_ns)
         self._interrupt_select()
         return True
 
@@ -125,8 +130,8 @@ class UserEventLoop:
         timer.armed = True
         timer._seq = self._seq
         heapq.heappush(self._queue, (timer.due_ns, self._seq, timer))
-        self._emit(EventKind.SET, timer, timeout_ns=delay_ns,
-                   expires_ns=timer.due_ns)
+        if self.recording:
+            self._emit(EventKind.SET, timer, delay_ns, timer.due_ns)
         self._interrupt_select()
 
     # -- event delivery -------------------------------------------------------
@@ -175,7 +180,8 @@ class UserEventLoop:
             timer.armed = False
             timer.fired_count += 1
             self.user_fires += 1
-            self._emit(EventKind.EXPIRE, timer, expires_ns=timer.due_ns)
+            if self.recording:
+                self._emit(EventKind.EXPIRE, timer, None, timer.due_ns)
             if timer.interval_ns > 0:
                 self._arm(timer, timer.interval_ns)
             timer.callback()

@@ -58,12 +58,12 @@ class WaitHandle:
         kernel = self.waits.kernel
         if self.timer is not None and self.timer.inserted:
             kernel._remove(self.timer)
-        kernel.sink.emit_wait_unblock(
-            ts_block=self.blocked_at, ts_unblock=kernel.engine.now,
-            timer_id=self.timer.timer_id if self.timer is not None else 0,
-            pid=self.task.pid, comm=self.task.comm,
-            site=kernel.sites.intern(self.site),
-            timeout_ns=self.timeout_ns, satisfied=satisfied)
+        if kernel.recording:
+            kernel.sink.emit_wait_unblock(
+                self.blocked_at, kernel.engine.now,
+                self.timer.timer_id if self.timer is not None else 0,
+                self.task.pid, self.task.comm,
+                kernel.sites.intern(self.site), self.timeout_ns, satisfied)
         self.on_return(status)
         return True
 

@@ -32,7 +32,8 @@ from ..sim.rng import RngRegistry
 from ..sim.tasks import Task, TaskTable
 from ..tracing.etw import EtwSession
 from ..tracing.events import FLAG_ABSOLUTE, CallSiteRegistry, EventKind, \
-    TimerEvent
+    TimerEvent, new_record
+from ..tracing.relay import SinkSlot
 
 #: Vista's default clock interrupt period (64 Hz).
 DEFAULT_CLOCK_PERIOD_NS = 15_625_000
@@ -71,9 +72,14 @@ class KTimer:
 
 
 class VistaKernel(BackendBase):
-    """One simulated single-CPU Vista machine."""
+    """One simulated single-CPU Vista machine.
+
+    With a sink that keeps nothing, ``recording`` is False and no call
+    site builds a record (see :class:`~repro.tracing.relay.SinkSlot`).
+    """
 
     os_name = "vista"
+    sink = SinkSlot()
 
     def __init__(self, engine: Optional[Engine] = None, *, seed: int = 0,
                  sink: Optional[EtwSession] = None,
@@ -128,7 +134,7 @@ class VistaKernel(BackendBase):
             timer_id = self._next_id
         timer = KTimer(timer_id, self, self.sites.intern(site), owner,
                        domain)
-        if trace_init:
+        if trace_init and self.recording:
             self._emit(EventKind.INIT, timer)
         return timer
 
@@ -143,10 +149,11 @@ class VistaKernel(BackendBase):
     def _emit(self, kind: EventKind, timer: KTimer,
               timeout_ns: Optional[int] = None,
               expires_ns: Optional[int] = None, flags: int = 0) -> None:
-        self.sink.emit(TimerEvent(kind, self.engine.now, timer.timer_id,
-                                  timer.owner.pid, timer.owner.comm,
-                                  timer.domain, timer.site, timeout_ns,
-                                  expires_ns, flags))
+        """Log one record; callers test ``self.recording`` first."""
+        owner = timer.owner
+        self._sink.emit(new_record(TimerEvent, (
+            kind, self.engine.now, timer.timer_id, owner.pid, owner.comm,
+            timer.domain, timer.site, timeout_ns, expires_ns, flags, 0, 0)))
 
     def set_timer(self, timer: KTimer, due_ns: int, *,
                   absolute: bool = False, period_ns: int = 0,
@@ -164,11 +171,11 @@ class VistaKernel(BackendBase):
         if dpc is not None:
             timer.dpc = dpc
         deadline = due_ns if absolute else self.engine.now + due_ns
-        relative = deadline - self.engine.now
         timer.period_ns = period_ns
-        self._emit(EventKind.SET, timer, timeout_ns=max(relative, 0),
-                   expires_ns=deadline,
-                   flags=FLAG_ABSOLUTE if absolute else 0)
+        if self.recording:
+            self._emit(EventKind.SET, timer,
+                       max(deadline - self.engine.now, 0), deadline,
+                       FLAG_ABSOLUTE if absolute else 0)
         if deadline <= self.engine.now:
             self._fire(timer, deadline)
         else:
@@ -180,8 +187,9 @@ class VistaKernel(BackendBase):
         was_inserted = timer.inserted
         if was_inserted:
             self._remove(timer)
-        self._emit(EventKind.CANCEL, timer,
-                   expires_ns=timer.due_ns if was_inserted else None)
+        if self.recording:
+            self._emit(EventKind.CANCEL, timer, None,
+                       timer.due_ns if was_inserted else None)
         return was_inserted
 
     # -- ring maintenance ----------------------------------------------------
@@ -212,8 +220,8 @@ class VistaKernel(BackendBase):
             self._fire(timer, deadline)
 
     def _fire(self, timer: KTimer, deadline: int) -> None:
-        if timer.traced:
-            self._emit(EventKind.EXPIRE, timer, expires_ns=deadline)
+        if timer.traced and self.recording:
+            self._emit(EventKind.EXPIRE, timer, None, deadline)
         if timer.period_ns > 0:
             # Periodic timers are re-inserted by the expiry DPC itself;
             # no KeSetTimer call (and hence no SET event) occurs.
