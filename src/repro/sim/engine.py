@@ -18,11 +18,10 @@ either scheduler.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from time import perf_counter_ns
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Callable, Optional, Union
 
+from ..gcpolicy import young_gc_only
 from ..obs.profiler import current_profiler
 from .clock import fmt_time
 from .sched import (Event, SchedulerLike, SimulationError,
@@ -30,29 +29,6 @@ from .sched import (Event, SchedulerLike, SimulationError,
 
 __all__ = ["Engine", "Event", "SimulationError", "default_scheduler",
            "use_scheduler"]
-
-#: Third ``gc`` threshold while the engine loop runs: high enough that
-#: no full collection starts inside it (it is a C ``int``).
-_NO_FULL_GC = 2**31 - 1
-
-
-@contextmanager
-def _young_gc_only() -> Iterator[None]:
-    """Run the body with generations 0 and 1 collecting as usual but no
-    full (generation-2) collection; restore the caller's thresholds.
-
-    A large simulation allocates long-lived objects (timers, bound
-    callbacks) for its whole run, so CPython's full collection, which
-    starts each time that heap grows by a quarter, walks a heap that
-    holds almost no garbage.  Short-lived cycles die in the young
-    generations, which keep running.
-    """
-    thresholds = gc.get_threshold()
-    gc.set_threshold(thresholds[0], thresholds[1], _NO_FULL_GC)
-    try:
-        yield
-    finally:
-        gc.set_threshold(*thresholds)
 
 
 class Engine:
@@ -127,7 +103,7 @@ class Engine:
         self._running = True
         wall_start = perf_counter_ns()
         try:
-            with _young_gc_only():
+            with young_gc_only():
                 self.scheduler.run(self, deadline)
             self.now = deadline
         finally:
@@ -141,7 +117,7 @@ class Engine:
         self._running = True
         wall_start = perf_counter_ns()
         try:
-            with _young_gc_only():
+            with young_gc_only():
                 self.scheduler.run(self, None)
         finally:
             self.wall_ns += perf_counter_ns() - wall_start

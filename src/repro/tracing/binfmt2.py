@@ -53,10 +53,12 @@ import mmap
 import struct
 import sys
 from array import array
+from itertools import repeat
 from typing import BinaryIO, Iterator, Optional
 
+from ..gcpolicy import young_gc_only
 from .errors import TraceFormatError
-from .events import EventKind, TimerEvent
+from .events import EventKind, TimerEvent, new_record
 from .trace import Trace
 
 MAGIC = b"TMRTRACE"
@@ -103,36 +105,18 @@ def trace_is_multihost(trace: Trace) -> bool:
     return any(event[10] or event[11] for event in trace.events)
 
 
-def dump_trace_v2(trace: Trace, out: BinaryIO, *,
-                  version: Optional[int] = None) -> None:
-    """Serialise ``trace`` to a v2/v3 columnar stream.
-
-    The version is picked from the data unless forced: single-host
-    traces (every ``host``/``cpu`` zero) write byte-identical v2;
-    cluster traces write v3 with the two extra identity columns.
-    """
-    if version is None:
-        version = VERSION3 if trace_is_multihost(trace) else VERSION2
-    elif version not in (VERSION2, VERSION3):
-        raise TraceFormatError(
-            f"columnar writer cannot produce version {version}")
-    with_identity = version == VERSION3
+def _write_header(out: BinaryIO, version: int, source, n_events: int,
+                  comms, sites) -> None:
+    """Everything before the columns, padding included; ``comms`` and
+    ``sites`` are the tables in index order."""
     out.write(MAGIC)
     out.write(_HEAD.pack(version, 0))
-    _write_str(out, trace.os_name)
-    _write_str(out, trace.workload)
-    events = trace.events
-    out.write(_U64.pack(trace.duration_ns))
-    out.write(_U64.pack(len(events)))
-
-    comms: dict[str, int] = {}
-    sites: dict[tuple, int] = {}
-    for event in events:
-        comms.setdefault(event.comm, len(comms))
-        sites.setdefault(event.site, len(sites))
-
+    _write_str(out, source.os_name)
+    _write_str(out, source.workload)
+    out.write(_U64.pack(source.duration_ns))
+    out.write(_U64.pack(n_events))
     out.write(_U32.pack(len(comms)))
-    for comm in comms:                  # insertion order == index order
+    for comm in comms:
         _write_str(out, comm)
     out.write(_U32.pack(len(sites)))
     for site in sites:
@@ -149,6 +133,46 @@ def dump_trace_v2(trace: Trace, out: BinaryIO, *,
     if written is None:
         raise TraceFormatError("v2 writer needs a seekable stream")
     out.write(b"\x00" * (-written % 8))
+
+
+def _check_version(version: Optional[int], multihost) -> int:
+    if version is None:
+        return VERSION3 if multihost() else VERSION2
+    if version not in (VERSION2, VERSION3):
+        raise TraceFormatError(
+            f"columnar writer cannot produce version {version}")
+    return version
+
+
+def dump_trace_v2(trace: "Trace | ColumnarTrace", out: BinaryIO, *,
+                  version: Optional[int] = None) -> None:
+    """Serialise ``trace`` to a v2/v3 columnar stream.
+
+    The version is picked from the data unless forced: single-host
+    traces (every ``host``/``cpu`` zero) write byte-identical v2;
+    cluster traces write v3 with the two extra identity columns.
+
+    A :class:`ColumnarTrace` is written by copying its column blocks
+    after a fresh header, with no hydration, whenever that gives the
+    same bytes as writing its hydrated events; otherwise (tables not in
+    first-appearance order, say) it is hydrated and written like any
+    other trace.
+    """
+    if isinstance(trace, ColumnarTrace):
+        if _columns_copyable(trace):
+            _dump_columns(trace, out, version)
+            return
+        trace = trace.as_trace()
+    version = _check_version(version, lambda: trace_is_multihost(trace))
+    with_identity = version == VERSION3
+    events = trace.events
+    comms: dict[str, int] = {}
+    sites: dict[tuple, int] = {}
+    for event in events:
+        comms.setdefault(event.comm, len(comms))
+        sites.setdefault(event.site, len(sites))
+    # Insertion order == index order.
+    _write_header(out, version, trace, len(events), comms, sites)
 
     ts_col = array("q")
     id_col = array("Q")
@@ -253,41 +277,51 @@ class ColumnarTrace:
             raise IndexError(i)
         timeout = self.timeout_ns[i]
         expires = self.expires_ns[i]
-        return TimerEvent(
+        return new_record(TimerEvent, (
             _KIND_BY_CODE[self.kind[i]], self.ts[i], self.timer_id[i],
             self.pid[i], self.comms[self.comm_idx[i]],
             _DOMAINS[self.domain[i]], self.sites[self.site_idx[i]],
             None if timeout == _NONE else timeout,
             None if expires == _NONE else expires, self.flags[i],
-            self.host[i], self.cpu[i])
+            self.host[i], self.cpu[i]))
 
     def iter_events(self) -> Iterator[TimerEvent]:
-        """Hydrate events one at a time, without caching the list."""
+        """Hydrate events one at a time, without caching the list.
+
+        Built in C end to end: table lookups are ``map`` over the index
+        columns, ``-1`` becomes ``None`` through ``dict.get`` (the
+        column doubles as the default), and each record is
+        ``new_record(TimerEvent, row)`` over a ``zip`` of the columns.
+        It stays a lazy iterator holding no O(n) temporary, so a
+        streaming consumer never has the whole event list in memory.
+        """
         if self._events is not None:
             return iter(self._events)
-        comms = self.comms
-        sites = self.sites
-        kinds = _KIND_BY_CODE
-        domains = _DOMAINS
-        return (TimerEvent(
-            kinds[kind], ts, timer_id, pid, comms[comm_idx],
-            domains[dom], sites[site_idx],
-            None if timeout == _NONE else timeout,
-            None if expires == _NONE else expires, flags, host, cpu)
-            for kind, ts, timer_id, pid, comm_idx, dom, site_idx,
-            timeout, expires, flags, host, cpu
-            in zip(self.kind, self.ts, self.timer_id, self.pid,
-                   self.comm_idx, self.domain, self.site_idx,
-                   self.timeout_ns, self.expires_ns, self.flags,
-                   self.host, self.cpu))
+        none_for_unset = {_NONE: None}.get
+        rows = zip(
+            map(_KIND_BY_CODE.__getitem__, self.kind), self.ts,
+            self.timer_id, self.pid, map(self.comms.__getitem__,
+                                         self.comm_idx),
+            map(_DOMAINS.__getitem__, self.domain),
+            map(self.sites.__getitem__, self.site_idx),
+            map(none_for_unset, self.timeout_ns, self.timeout_ns),
+            map(none_for_unset, self.expires_ns, self.expires_ns),
+            self.flags, self.host, self.cpu)
+        return map(new_record, repeat(TimerEvent), rows)
 
     __iter__ = iter_events
 
     @property
     def events(self) -> list[TimerEvent]:
-        """The fully hydrated event list (built once, then cached)."""
+        """The fully hydrated event list (built once, then cached).
+
+        Built with no full garbage collection (:func:`repro.gcpolicy
+        .young_gc_only`): every record outlives the build, so a
+        generation-2 pass during it would walk them and free nothing.
+        """
         if self._events is None:
-            self._events = list(self.iter_events())
+            with young_gc_only():
+                self._events = list(self.iter_events())
         return self._events
 
     def as_trace(self) -> Trace:
@@ -318,6 +352,47 @@ class ColumnarTrace:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _first_appearance_order(table: list, col) -> bool:
+    """True if ``col`` first uses the entries of ``table`` in table
+    order, uses all of them, and the entries are distinct: exactly the
+    table the event writer would build."""
+    return (len(set(table)) == len(table)
+            and list(dict.fromkeys(col.tolist())) == list(range(len(table))))
+
+
+def _columns_copyable(view: ColumnarTrace) -> bool:
+    """True if copying ``view``'s column blocks writes the bytes its
+    hydrated events would: the columns still hold all the events in
+    file byte order (not closed after hydration, not byte-swapped
+    copies), the hydrated list, if any, has not grown, every code
+    hydrates (so a corrupt view still fails the way hydration does),
+    and the tables are in first-appearance order."""
+    n = view.n_events
+    if not _LITTLE or len(view.ts) != n or (
+            view._events is not None and len(view._events) != n):
+        return False
+    return (max(view.kind, default=0) < len(_KIND_BY_CODE)
+            and max(view.domain, default=0) < len(_DOMAINS)
+            and _first_appearance_order(view.comms, view.comm_idx)
+            and _first_appearance_order(view.sites, view.site_idx))
+
+
+def _dump_columns(view: ColumnarTrace, out: BinaryIO,
+                  version: Optional[int]) -> None:
+    """Write ``view`` as a header plus its column blocks, copied."""
+    version = _check_version(
+        version, lambda: any(view.host) or any(view.cpu))
+    _write_header(out, version, view, view.n_events, view.comms,
+                  view.sites)
+    columns = (view.ts, view.timer_id, view.timeout_ns, view.expires_ns,
+               view.pid, view.comm_idx, view.site_idx, view.kind,
+               view.flags, view.domain)
+    if version == VERSION3:
+        columns += (view.host, view.cpu)
+    for col in columns:
+        out.write(col)
 
 
 def _read_str(view: memoryview, off: int, limit: int) -> tuple[str, int]:
@@ -448,7 +523,7 @@ def load_v2(path: str) -> ColumnarTrace:
         raise
 
 
-def save_v2(trace: Trace, path: str) -> None:
+def save_v2(trace: "Trace | ColumnarTrace", path: str) -> None:
     """Write ``trace`` to ``path`` in the columnar format, picking v2
     for single-host data and v3 when cluster identity is present."""
     with open(path, "wb") as fh:
@@ -465,7 +540,7 @@ def loads_v2(data: bytes) -> ColumnarTrace:
     return load_columnar(memoryview(data))
 
 
-def save_v3(trace: Trace, path: str) -> None:
+def save_v3(trace: "Trace | ColumnarTrace", path: str) -> None:
     """Write ``trace`` to ``path`` forcing columnar version 3 (the
     host/cpu columns are emitted even when all zero)."""
     with open(path, "wb") as fh:

@@ -63,6 +63,10 @@ class TraceFormat:
     to_bytes: Callable[[Trace], bytes]
     #: Path suffixes this format claims when writing with format="auto".
     extensions: tuple = field(default=())
+    #: ``save_path``/``to_bytes`` take a ``ColumnarTrace`` as it is
+    #: (the columnar codecs copy its columns); other formats get it
+    #: materialised first.
+    columnar: bool = False
 
 
 _REGISTRY: dict[str, TraceFormat] = {}
@@ -210,7 +214,7 @@ register_format(TraceFormat(
     sniff=lambda header: _magic_version(header) == 2,
     load_path=load_v2, save_path=save_v2,
     from_bytes=loads_v2, to_bytes=dumps_v2,
-    extensions=(".bin", ".bin2"),
+    extensions=(".bin", ".bin2"), columnar=True,
 ))
 
 register_format(TraceFormat(
@@ -220,7 +224,7 @@ register_format(TraceFormat(
     sniff=lambda header: _magic_version(header) == 3,
     load_path=load_v2, save_path=save_v3,
     from_bytes=loads_v2, to_bytes=dumps_v3,
-    extensions=(".bin3",),
+    extensions=(".bin3",), columnar=True,
 ))
 
 
@@ -287,18 +291,21 @@ def write_trace(trace: TraceLike, path: Union[str, "os.PathLike"], *,
 
     ``format="auto"`` picks by extension: ``*.bin``/``*.bin2`` get the
     v2 columnar codec, ``*.bin1`` the legacy v1 codec, anything else
-    gzipped JSON lines.
+    gzipped JSON lines.  A ``ColumnarTrace`` written to a columnar
+    format is copied column by column, without hydrating it.
     """
     path = os.fspath(path)
     name = _format_for_path(path) if format == "auto" else format
-    _get(name).save_path(materialize(trace), path)
+    fmt = _get(name)
+    fmt.save_path(trace if fmt.columnar else materialize(trace), path)
     _io_tally(name, "saves", os.path.getsize(path))
     return name
 
 
 def trace_to_bytes(trace: TraceLike, *, format: str = "binfmt2") -> bytes:
     """Serialise a trace to bytes in the named format."""
-    data = _get(format).to_bytes(materialize(trace))
+    fmt = _get(format)
+    data = fmt.to_bytes(trace if fmt.columnar else materialize(trace))
     _io_tally(format, "saves", len(data))
     return data
 

@@ -117,14 +117,36 @@ def _run_one(job: TraceJob, sink_factory, retain_events: bool,
     return run.trace, sinks, snapshot
 
 
-def _run_trace_job(job: TraceJob, sink_factory=None,
+def _run_trace_job(task: Tuple[int, TraceJob], sink_factory=None,
                    retain_events: bool = True,
-                   collect_metrics: bool = False) -> Tuple[bytes, object,
-                                                           object]:
+                   collect_metrics: bool = False) -> Tuple[int, bytes,
+                                                           object, object]:
     from ..tracing.formats import trace_to_bytes
+    index, job = task
     trace, sinks, snapshot = _run_one(job, sink_factory, retain_events,
                                       collect_metrics)
-    return trace_to_bytes(trace), sinks, snapshot
+    return index, trace_to_bytes(trace), sinks, snapshot
+
+
+#: Expected serial seconds per study job, by (os, workload): seed 0, 2
+#: virtual minutes, 2-vCPU VM.  Only the order matters: the pool takes
+#: the longest job first, so the long firefox/skype runs do not end up
+#: queued behind short ones on the same worker.
+_EXPECTED_COST_S = {
+    ("vista", "firefox"): 2.54, ("linux", "firefox"): 1.77,
+    ("vista", "skype"): 1.38, ("vista", "desktop"): 0.62,
+    ("linux", "skype"): 0.49, ("linux", "webserver"): 0.36,
+    ("vista", "webserver"): 0.31, ("linux", "idle"): 0.23,
+    ("vista", "idle"): 0.11,
+}
+
+
+def _longest_first(jobs: Sequence[TraceJob]) -> list:
+    """Job indices, longest expected job first.  Jobs the cost table
+    does not name may be long, so they go first, in job order."""
+    def cost(index: int) -> float:
+        return _EXPECTED_COST_S.get(tuple(jobs[index][:2]), float("inf"))
+    return sorted(range(len(jobs)), key=cost, reverse=True)
 
 
 def _assemble(results: list, sink_factory, collect_metrics: bool) -> list:
@@ -155,8 +177,23 @@ def run_study_traces(jobs: Iterable[TraceJob], *,
     worker per CPU (capped at the job count); ``processes=1`` runs
     serially in-process.  Determinism: every simulation is seeded, so
     the returned traces are byte-identical to a serial run regardless
-    of worker count, and environments without working
-    ``multiprocessing`` silently fall back to serial execution.
+    of worker count.
+
+    The pool gets one job per task, longest expected job first (a
+    fixed per-(os, workload) cost table; jobs it does not name go
+    first, in job order), so the long simulations start at once and the
+    short ones fill in behind them.  Each worker hands its trace back
+    as columnar v2 bytes, and the parent hydrates every handback as it
+    arrives, while the remaining simulations still run; results are
+    put back in job order by index.  The order only schedules: it
+    never changes a returned byte.
+
+    The serial fallback covers the cases where the pool cannot carry
+    the work, and only those: a pool that cannot start (no fork, no
+    semaphores), a task that cannot be pickled (an unpicklable
+    factory, probed before any worker forks), or a result that cannot
+    be pickled back (an unpicklable sink).  An exception raised by a
+    simulation itself propagates once, from the worker.
 
     ``sink_factory(os_name, workload)`` — when given — builds fresh
     live sinks per job (e.g. a :class:`repro.core.streaming
@@ -183,19 +220,35 @@ def run_study_traces(jobs: Iterable[TraceJob], *,
         return _run_serial(jobs, sink_factory, retain_events,
                            collect_metrics)
     from functools import partial
+    from multiprocessing.pool import MaybeEncodingError
     from ..tracing.formats import materialize, trace_from_bytes
     worker = partial(_run_trace_job, sink_factory=sink_factory,
                      retain_events=retain_events,
                      collect_metrics=collect_metrics)
+    tasks = [(index, jobs[index]) for index in _longest_first(jobs)]
     try:
-        with multiprocessing.get_context().Pool(processes) as pool:
-            blobs = pool.map(worker, jobs)
-    except (ImportError, OSError, PermissionError, AttributeError,
-            TypeError, pickle.PicklingError):
-        # Sandboxed/embedded interpreters without fork or semaphores,
-        # or an unpicklable factory/sink: fall back to serial.
+        pickle.dumps((worker, tasks))
+    except (pickle.PicklingError, TypeError, AttributeError):
+        # An unpicklable factory (a lambda, a closure) cannot reach a
+        # worker; find out before forking any.
         return _run_serial(jobs, sink_factory, retain_events,
                            collect_metrics)
-    results = [(materialize(trace_from_bytes(blob)), sinks, snapshot)
-               for blob, sinks, snapshot in blobs]
+    try:
+        pool = multiprocessing.get_context().Pool(processes)
+    except (ImportError, OSError):
+        # Sandboxed/embedded interpreters without fork or semaphores.
+        return _run_serial(jobs, sink_factory, retain_events,
+                           collect_metrics)
+    results: list = [None] * len(jobs)
+    try:
+        with pool:
+            for index, blob, sinks, snapshot in pool.imap_unordered(
+                    worker, tasks, chunksize=1):
+                # Hydrate while the other simulations are still running.
+                results[index] = (materialize(trace_from_bytes(blob)),
+                                  sinks, snapshot)
+    except MaybeEncodingError:
+        # A result (a sink, a snapshot) that cannot be pickled back.
+        return _run_serial(jobs, sink_factory, retain_events,
+                           collect_metrics)
     return _assemble(results, sink_factory, collect_metrics)

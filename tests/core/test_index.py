@@ -9,6 +9,8 @@ wrapper (no cached index, the pre-index behaviour) and once through the
 shared index.
 """
 
+import threading
+
 import pytest
 
 from repro.core import (TraceIndex, adaptivity_report, classify_trace,
@@ -17,9 +19,11 @@ from repro.core import (TraceIndex, adaptivity_report, classify_trace,
                         render_nesting, render_origin_table, render_rates,
                         render_scatter, summarize, value_histogram)
 from repro.core.episodes import extract_episodes
+from repro.core.report import render_analysis
+from repro.core.streaming import StreamingSuite
 from repro.sim.clock import MINUTE, SECOND
 from repro.tracing import EventKind, Trace, trace_to_bytes
-from repro.workloads import run_study_traces, run_workload
+from repro.workloads import base, run_study_traces, run_workload
 
 from .helpers import TraceBuilder, periodic_timer, watchdog_timer
 
@@ -190,10 +194,59 @@ class TestCaching:
             == [[e.ts for e in h.events] for h in whole.logical]
 
 
+class _LockedCounter:
+    """A live sink that counts records and cannot be pickled."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.n = 0
+
+    def emit(self, event):
+        self.n += 1
+
+
+def locked_counter_factory(os_name, workload):
+    return [_LockedCounter()]
+
+
+class _RejectingSink:
+    def emit(self, event):
+        raise TypeError("sink rejects the record")
+
+
+def rejecting_factory(os_name, workload):
+    return [_RejectingSink()]
+
+
+def suite_factory(os_name, workload):
+    return [StreamingSuite(os_name, workload)]
+
+
+@pytest.fixture
+def serial_calls(monkeypatch):
+    """Count the driver's serial runs (its fallback included)."""
+    calls = []
+    real = base._run_serial
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(base, "_run_serial", counted)
+    return calls
+
+
 class TestParallelDriver:
     JOBS = [("linux", "idle", 6 * SECOND, 5),
             ("vista", "idle", 6 * SECOND, 5),
             ("linux", "skype", 6 * SECOND, 5)]
+    #: The longest expected job listed last, an unnamed one in between.
+    LONGEST_LAST = [("vista", "idle", 4 * SECOND, 1),
+                    ("linux", "webserver", 4 * SECOND, 1),
+                    ("linux", "portable", 4 * SECOND, 1),
+                    ("vista", "firefox", 4 * SECOND, 1)]
+    SHORT = [("linux", "idle", 2 * SECOND, 0),
+             ("vista", "idle", 2 * SECOND, 0)]
 
     def test_serial_matches_parallel_byte_for_byte(self):
         serial = run_study_traces(self.JOBS, processes=1)
@@ -205,6 +258,82 @@ class TestParallelDriver:
         results = run_study_traces(self.JOBS, processes=2)
         assert [(t.os_name, t.workload) for t in results] \
             == [(os_name, wl) for os_name, wl, _, _ in self.JOBS]
+
+    def test_longest_first_schedule(self):
+        order = base._longest_first(self.LONGEST_LAST)
+        assert order == [2, 3, 1, 0]
+
+    def test_longest_job_listed_last_comes_back_in_job_order(
+            self, serial_calls):
+        parallel = run_study_traces(self.LONGEST_LAST, processes=2)
+        assert serial_calls == []
+        assert [(t.os_name, t.workload) for t in parallel] == \
+            [job[:2] for job in self.LONGEST_LAST]
+        serial = run_study_traces(self.LONGEST_LAST, processes=1)
+        assert [trace_to_bytes(t) for t in serial] == \
+            [trace_to_bytes(t) for t in parallel]
+
+    def test_sink_factory_parallel_matches_serial(self, serial_calls):
+        parallel = run_study_traces(self.JOBS, processes=2,
+                                    sink_factory=suite_factory)
+        assert serial_calls == []
+        serial = run_study_traces(self.JOBS, processes=1,
+                                  sink_factory=suite_factory)
+        for (p_trace, (p_suite,)), (s_trace, (s_suite,)) in \
+                zip(parallel, serial):
+            assert trace_to_bytes(p_trace) == trace_to_bytes(s_trace)
+            assert render_analysis(p_suite) == render_analysis(s_suite)
+
+    def test_collect_metrics_parallel_matches_serial(self, serial_calls):
+        parallel = run_study_traces(self.JOBS, processes=2,
+                                    sink_factory=suite_factory,
+                                    collect_metrics=True)
+        assert serial_calls == []
+        serial = run_study_traces(self.JOBS, processes=1,
+                                  sink_factory=suite_factory,
+                                  collect_metrics=True)
+        for (p_trace, (p_suite,), p_snap), (s_trace, (s_suite,), s_snap) \
+                in zip(parallel, serial):
+            assert trace_to_bytes(p_trace) == trace_to_bytes(s_trace)
+            assert render_analysis(p_suite) == render_analysis(s_suite)
+            assert p_snap.stable().render() == s_snap.stable().render()
+
+    def test_unpicklable_sink_falls_back_to_serial(self, serial_calls):
+        results = run_study_traces(self.SHORT, processes=2,
+                                   sink_factory=locked_counter_factory)
+        assert len(serial_calls) == 1
+        for trace, (sink,) in results:
+            assert sink.n == len(trace) > 0
+
+    def test_unpicklable_factory_falls_back_before_forking(
+            self, serial_calls, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(base.multiprocessing, "get_context", no_pool)
+        results = run_study_traces(
+            self.SHORT, processes=2,
+            sink_factory=lambda os_name, wl: [_LockedCounter()])
+        assert len(serial_calls) == 1
+        assert len(results) == 2
+
+    def test_pool_start_failure_falls_back_to_serial(
+            self, serial_calls, monkeypatch):
+        class NoSemaphores:
+            def Pool(self, processes):
+                raise OSError("no semaphores here")
+
+        monkeypatch.setattr(base.multiprocessing, "get_context",
+                            NoSemaphores)
+        results = run_study_traces(self.SHORT, processes=2)
+        assert len(serial_calls) == 1
+        assert [t.workload for t in results] == ["idle", "idle"]
+
+    def test_simulation_error_propagates_once(self, serial_calls):
+        with pytest.raises(TypeError, match="sink rejects the record"):
+            run_study_traces(self.SHORT, processes=2,
+                             sink_factory=rejecting_factory)
+        assert serial_calls == []
 
     def test_desktop_duration_none_uses_default(self):
         (trace,) = run_study_traces(
