@@ -6,14 +6,15 @@ Analysis side: :mod:`~repro.core.summary` (Tables 1–2),
 :mod:`~repro.core.values` (common values, Figures 3–7),
 :mod:`~repro.core.durations` (expiry/cancel fractions, Figures 8–11),
 :mod:`~repro.core.origins` (Table 3), :mod:`~repro.core.rates`
-(Figure 1) — all consuming the shared single-pass
-:mod:`~repro.core.index` instead of re-scanning the trace.
+(Figure 1) — each a fold of its :mod:`~repro.core.streaming` reducer
+over the shared single-pass :mod:`~repro.core.index` instead of a
+re-scan of the trace.
 
 One roof over all of it: :func:`~repro.core.analyze.analyze` wraps a
 trace, index, saved file, event stream or finished
 :class:`~repro.core.streaming.StreamingSuite` in a lazy
-:class:`~repro.core.analyze.Analysis`; :mod:`~repro.core.streaming`
-holds the bounded-memory incremental reducers behind it.
+:class:`~repro.core.analyze.Analysis`; the same reducers, behind one
+live sink, give the bounded-memory streaming mode.
 
 Design side: :mod:`~repro.core.adaptive` (5.1),
 :mod:`~repro.core.provenance` (5.2), :mod:`~repro.core.timespec` (5.3),

@@ -9,18 +9,19 @@ returns an :class:`Analysis` with lazy, cached accessors for each of
 the paper's analyses (Tables 1–3, Figures 1–11, the Section 4.2
 adaptivity claim and the Section 5.2 nesting inference).
 
-Two modes, one surface:
+Two modes, one surface, one implementation of each core analysis
+(the :mod:`~repro.core.streaming` reducers):
 
 * **batch** — the source is (or loads into) a full in-memory trace;
-  every analysis is available and computed on demand through the
-  shared single-pass index.
+  every analysis is available and computed on demand by folding its
+  reducer over the shared single-pass index.
 * **streaming** — the source is a finished streaming suite, or an
   event iterable that gets folded through one here.  The core
-  analyses come straight from the suite's incremental reducers
-  (byte-identical to batch); the two analyses that inherently need
-  random access to full episode lists (:meth:`Analysis.adaptivity`
-  and :meth:`Analysis.nesting`) raise :class:`NotImplementedError` —
-  probe with :meth:`Analysis.supports` first.
+  analyses come straight from the suite's reducers; the two analyses
+  that inherently need random access to full episode lists
+  (:meth:`Analysis.adaptivity` and :meth:`Analysis.nesting`) raise
+  :class:`NotImplementedError` — probe with :meth:`Analysis.supports`
+  first.
 """
 
 from __future__ import annotations

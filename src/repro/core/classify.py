@@ -65,15 +65,16 @@ class TimerStats:
 
     ``tests/core/test_classify_reference.py`` keeps the historical
     multi-pass definitions of those statistics as a reference and
-    checks, over generated episode lists, that both :meth:`add` and
-    :meth:`add_batch` agree with them on every one.
+    checks, over generated episode lists, that :meth:`add_batch` agrees
+    with them on every one however the stream is split into batches.
 
-    Both halves of ``analyze()`` run their classification through this
-    class: the batch path folds a cached episode list
-    (:func:`classify_episodes`), the streaming path feeds episodes one
-    at a time as the :class:`~repro.core.streaming.EpisodeRouter`
-    completes them — which is what makes their verdicts identical by
-    construction.
+    Every classification runs through this class:
+    :func:`classify_episodes` folds one whole episode list, and
+    :class:`~repro.core.streaming.StreamingClassifier` folds each
+    group's episodes in the batches the
+    :class:`~repro.core.streaming.EpisodeRouter` hands it (or, for
+    :func:`pattern_breakdown` and :func:`~repro.core.origin_table`, the
+    index's cached lists).
     """
 
     __slots__ = ("n", "buckets", "n_resolved", "expired", "canceled",
@@ -95,63 +96,11 @@ class TimerStats:
         self.prev_outcome: Optional[Outcome] = None
         self.prev_outcome_value = 0
 
-    def add(self, episode: Episode) -> None:
-        tol = self.tolerance_ns
-        value = episode.value_ns
-        self.n += 1
-
-        # dominant_value's first-fit bucketing, in insertion order.
-        self.buckets.add(value)
-
-        # _is_countdown's pair counters (over all episodes).
-        if self.prev_value is not None:
-            if value < self.prev_value - tol:
-                self.decreasing += 1
-            elif value > self.prev_value + tol:
-                self.resets += 1
-        self.prev_value = value
-
-        # The PERIODIC/DELAY gap statistic (over all episodes).
-        gap = episode.gap_before_ns
-        if gap is not None:
-            self.gaps += 1
-            if gap <= tol:
-                self.gaps_small += 1
-
-        # _deferral_fraction: a re-arm defers outright; a cancel
-        # followed within tolerance by a same-value re-set defers too.
-        outcome = episode.outcome
-        if outcome == Outcome.REARMED:
-            self.deferrals += 1
-        if self.prev_outcome == Outcome.CANCELED and gap is not None \
-                and gap <= tol \
-                and abs(value - self.prev_outcome_value) <= tol:
-            self.deferrals += 1
-        self.prev_outcome = outcome
-        self.prev_outcome_value = value
-
-        if outcome != Outcome.UNRESOLVED:
-            self.n_resolved += 1
-            if outcome == Outcome.EXPIRED:
-                self.expired += 1
-                # _is_deferred: an expiry terminating a re-arm run.
-                if self.run >= 1:
-                    self.runs_ok += 1
-                self.run = 0
-            elif outcome == Outcome.CANCELED:
-                self.canceled += 1
-                self.run = 0
-            else:
-                self.rearmed += 1
-                self.run += 1
-
     def add_batch(self, episodes: list) -> None:
-        """Fold a whole episode list at once: identical statistics to
-        calling :meth:`add` per episode, but accumulated in locals —
-        the per-episode ``self`` attribute churn was the batch
-        classifier's dominant cost.  The streaming path keeps feeding
-        :meth:`add` one episode at a time; the streaming-vs-batch
-        differential tests pin the two folds to identical verdicts."""
+        """Fold the next episodes of the stream, accumulating in
+        locals (per-episode ``self`` attribute churn was the
+        classifier's dominant cost).  The statistics do not depend on
+        how the stream is split into batches."""
         tol = self.tolerance_ns
         buckets = self.buckets
         counts = buckets.counts
@@ -283,8 +232,7 @@ def classify_episodes(episodes: list[Episode], *,
     deferral fraction, deferred-run detection); the reference
     definitions of those passes live in
     ``tests/core/test_classify_reference.py``, which pins the fold's
-    statistics to them, and the streaming-vs-batch differential tests
-    pin the batch and streaming verdicts to each other.
+    statistics to them.
     """
     stats = TimerStats(tolerance_ns)
     stats.add_batch(episodes)
@@ -355,12 +303,28 @@ def classify_trace(source, *, logical: Optional[bool] = None,
     return verdicts
 
 
+def trace_classifier(source, *, logical: Optional[bool] = None,
+                     tolerance_ns: int = DEFAULT_TOLERANCE_NS):
+    """A finished :class:`~repro.core.streaming.StreamingClassifier`
+    folded over one grouping's cached episode lists (memoised on the
+    index, so Figure 2 and Table 3 share one classification)."""
+    index = as_index(source)
+    if logical is None:
+        logical = index.default_logical
+    key = ("classifier", logical, tolerance_ns)
+    folded = index.memo.get(key)
+    if folded is None:
+        from .streaming import StreamingClassifier
+        folded = StreamingClassifier(index.os_name, index.trace.workload,
+                                     tolerance_ns=tolerance_ns)
+        for history, episodes in index.grouped(logical):
+            folded.on_group(history)
+            folded.on_episodes(history, episodes)
+        folded.finish()
+        index.memo[key] = folded
+    return folded
+
+
 def pattern_breakdown(source, **kwargs) -> PatternBreakdown:
     """Compute Figure 2's per-class timer percentages for one trace."""
-    index = as_index(source)
-    breakdown = PatternBreakdown(index.trace.workload, index.os_name)
-    for verdict in classify_trace(index, **kwargs):
-        breakdown.counts[verdict.timer_class] = \
-            breakdown.counts.get(verdict.timer_class, 0) + 1
-        breakdown.total += 1
-    return breakdown
+    return trace_classifier(source, **kwargs).breakdown

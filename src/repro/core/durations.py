@@ -87,50 +87,18 @@ class DurationScatter:
 
 def duration_scatter(source, *, logical: Optional[bool] = None,
                      cutoff_pct: float = CUTOFF_PCT) -> DurationScatter:
-    """Build the Figure 8–11 scatter for one trace or index."""
+    """Build the Figure 8–11 scatter for one trace or index: a fold of
+    :class:`~repro.core.streaming.StreamingDurations` over the index's
+    cached episode lists."""
+    from .streaming import StreamingDurations
     index = as_index(source)
     if logical is None:
         logical = index.default_logical
-    scatter = DurationScatter(index.trace.workload, index.os_name)
-    # Only EXPIRED and CANCELED episodes survive the filters below, so
-    # aggregate into one dict per outcome keyed by plain (int, float)
-    # tuples — no enum hashing on the per-episode path.
-    agg_e: dict[tuple[int, float], int] = {}
-    agg_c: dict[tuple[int, float], int] = {}
-    agg_e_get = agg_e.get
-    agg_c_get = agg_c.get
-    skipped = clipped = 0
-    UNRESOLVED = Outcome.UNRESOLVED
-    REARMED = Outcome.REARMED
-    EXPIRED = Outcome.EXPIRED
+    reducer = StreamingDurations(index.os_name, index.trace.workload,
+                                 cutoff_pct=cutoff_pct)
     for episodes in index.episodes(logical):
-        for set_at, value_ns, outcome, ended_at, _gap in episodes:
-            if outcome is UNRESOLVED or outcome is REARMED:
-                continue
-            if value_ns <= 0:
-                skipped += 1
-                continue
-            if ended_at is None:
-                continue
-            pct = round(100.0 * (ended_at - set_at) / value_ns, 1)
-            if pct > cutoff_pct:
-                clipped += 1
-                continue
-            key = (value_ns, pct)
-            if outcome is EXPIRED:
-                agg_e[key] = agg_e_get(key, 0) + 1
-            else:
-                agg_c[key] = agg_c_get(key, 0) + 1
-    scatter.skipped = skipped
-    scatter.clipped = clipped
-    combined = [(v, pct, outcome, n)
-                for outcome, agg in ((EXPIRED, agg_e),
-                                     (Outcome.CANCELED, agg_c))
-                for (v, pct), n in agg.items()]
-    scatter.points = [
-        ScatterPoint(v, pct, n, outcome) for v, pct, outcome, n in
-        sorted(combined, key=lambda t: (t[0], t[1], t[2].value))]
-    return scatter
+        reducer.on_episodes(None, episodes)
+    return reducer.finish()
 
 
 def render_scatter(scatter: DurationScatter, *, rows: int = 12,

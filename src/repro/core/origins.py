@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 from ..sim.clock import to_seconds
 from ..tracing.events import EventKind
-from .classify import TimerClass, classify_trace
+from .classify import TimerClass, trace_classifier
 from .episodes import nominal_value_ns
 from .index import as_index
 
@@ -86,29 +86,11 @@ def origin_table(source, *, min_sets: int = 3,
     """Regenerate Table 3 from a trace or index.
 
     Groups timers by (dominant value, origin); a row's class is the
-    majority classifier verdict among its timers, mirroring how the
-    paper combined trace data with code inspection.
+    majority classifier verdict among its timers (see
+    :meth:`~repro.core.streaming.StreamingClassifier.origin_table`).
     """
-    rows: dict[tuple[int, str], dict] = {}
-    for verdict in classify_trace(as_index(source), logical=logical):
-        if verdict.dominant_value_ns is None \
-                or verdict.dominant_value_ns <= 0:
-            continue
-        origin = attribute_origin(verdict.history.site,
-                                  verdict.history.comm)
-        key = (verdict.dominant_value_ns, origin)
-        entry = rows.setdefault(key, {"sets": 0, "classes": {}})
-        entry["sets"] += verdict.set_count
-        entry["classes"][verdict.timer_class] = \
-            entry["classes"].get(verdict.timer_class, 0) + 1
-    out = []
-    for (value, origin), entry in rows.items():
-        if entry["sets"] < min_sets:
-            continue
-        majority = max(entry["classes"].items(), key=lambda kv: kv[1])[0]
-        out.append(OriginRow(value, origin, majority, entry["sets"]))
-    out.sort(key=lambda r: (r.timeout_ns, r.origin))
-    return out
+    return trace_classifier(source, logical=logical).origin_table(
+        min_sets=min_sets)
 
 
 def render_origin_table(rows: list[OriginRow]) -> str:

@@ -59,7 +59,8 @@ def rate_series(source, *, bucket_ns: int = SECOND,
     """Count timer sets per bucket per group (trace or index input).
 
     WAIT_UNBLOCK events count as one set at their block time, matching
-    the paper's instrumentation of the wait fast path.
+    the paper's instrumentation of the wait fast path.  A fold of
+    :class:`~repro.core.streaming.StreamingRates`.
     """
     # The default kinds are exactly the index's set-like view.  Use an
     # index when handed or already cached; a rate series alone is a
@@ -75,42 +76,16 @@ def rate_series(source, *, bucket_ns: int = SECOND,
                             f"TraceIndex, got {type(source).__name__}")
         trace = source.as_trace()
         index = TraceIndex.peek(trace)
-    total = duration_ns if duration_ns is not None else trace.duration_ns
-    n_buckets = max(1, -(-total // bucket_ns))
-    series: dict[str, list[int]] = {}
-    events = index.set_like \
-        if index is not None and tuple(kinds) == SET_LIKE_KINDS \
-        else trace.events
-    WAIT_UNBLOCK = EventKind.WAIT_UNBLOCK
-    # The default grouping is a pure function of (domain, comm), both
-    # drawn from small sets — memoise it per pair instead of paying
-    # the string scans once per event.
-    group_memo: Optional[dict] = {} if group_fn is default_group else None
-    for event in events:
-        kind = event.kind
-        if kind not in kinds:
-            continue
-        ts = event.ts
-        if kind == WAIT_UNBLOCK:
-            if event.timeout_ns is None:
-                continue
-            ts = event.expires_ns    # block timestamp
-        bucket = ts // bucket_ns
-        if bucket >= n_buckets:
-            continue
-        if group_memo is None:
-            group = group_fn(event)
-        else:
-            memo_key = (event.domain, event.comm)
-            group = group_memo.get(memo_key)
-            if group is None:
-                group = group_memo[memo_key] = group_fn(event)
-        bucket_list = series.get(group)
-        if bucket_list is None:
-            bucket_list = [0] * n_buckets
-            series[group] = bucket_list
-        bucket_list[bucket] += 1
-    return RateSeries(bucket_ns, n_buckets, series)
+    from .streaming import StreamingRates
+    reducer = StreamingRates(trace.os_name, trace.workload,
+                             bucket_ns=bucket_ns, group_fn=group_fn,
+                             kinds=kinds)
+    reducer.emit_batch(index.set_like
+                       if index is not None
+                       and tuple(kinds) == SET_LIKE_KINDS
+                       else trace.events)
+    return reducer.finish(duration_ns if duration_ns is not None
+                          else trace.duration_ns)
 
 
 def render_rates(rates: RateSeries, *, groups: Optional[list[str]] = None,

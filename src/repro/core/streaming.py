@@ -1,48 +1,63 @@
-"""Streaming incremental analyses — the online half of ``analyze()``.
+"""Streaming incremental analyses — the one implementation of each
+core analysis.
 
-The batch analyses in :mod:`repro.core` read a fully materialised event
-list (the paper's 512 MiB relayfs dump read after the fact).  The
-reducers here consume :class:`~repro.tracing.events.TimerEvent` records
-one at a time through the sink protocol (anything with ``emit``), so
-they can be attached *live* to a running machine
-(:meth:`LinuxKernel.attach_sink` / :meth:`VistaKernel.attach_sink`) and
-aggregate a trace of any length in memory proportional to the number of
-*active* timers, not the number of events:
+Every reducer here folds :class:`~repro.tracing.events.TimerEvent`
+records (or, for the episode consumers, completed episode lists) in
+one loop, and serves both halves of ``analyze()``:
+
+* **batch** — :func:`~repro.core.summarize`,
+  :func:`~repro.core.value_histogram`, :func:`~repro.core.rate_series`,
+  :func:`~repro.core.duration_scatter`,
+  :func:`~repro.core.pattern_breakdown` and
+  :func:`~repro.core.origin_table` fold a fresh reducer over the
+  :class:`~repro.core.index.TraceIndex`'s events, its ``set_like`` view
+  or its cached episode lists, then call ``finish``;
+* **live** — :class:`StreamingSuite` is a sink (anything with
+  ``emit``) that can be attached to a running machine
+  (:meth:`LinuxKernel.attach_sink` / :meth:`VistaKernel.attach_sink`).
+  It buffers live events and folds them chunk-wise through the same
+  reducers, in memory proportional to the number of *active* timers,
+  not the number of events.
+
+The reducers:
 
 * :class:`StreamingSummary` — Tables 1/2 (including exact maximum
-  concurrency, via a watermarked interval sweep),
+  concurrency, via a watermarked sort sweep),
 * :class:`StreamingClassifier` — Figure 2 usage patterns and the
-  Table 3 origin rows, from O(1)-per-timer accumulators fed by the
-  shared :class:`~repro.core.episodes.EpisodeBuilder` state machine,
+  Table 3 origin rows, from O(1)-per-timer accumulators,
 * :class:`StreamingValues` — the Figure 3–7 value histograms,
 * :class:`StreamingDurations` — the Figure 8–11 scatter, plus exact
   quantiles of the expiry/cancel fraction (free: the fractions are
   already in the bounded cell aggregation),
 * :class:`StreamingRates` — the Figure 1 set-rate series,
-* :class:`StreamingSuite` — all of the above behind one sink.
+* :class:`EpisodeRouter` — routes events to per-timer
+  :class:`~repro.core.episodes.EpisodeBuilder`\\ s and hands completed
+  episodes to the classifier and the durations reducer.
 
-Exactness: every reducer is designed to reproduce its batch counterpart
-*byte-identically* on the same event stream (the equivalence tests pin
-this).  The one subtlety is concurrency: the Vista thread-unblock
-record arrives at unblock time but describes an interval that *started*
-at block time, so the sweep buffers endpoint deltas inside a sliding
-watermark window (``wait_horizon_ns``, generously above the longest
-wait timeout any workload uses) and counts any event that still lands
-behind the watermark in :attr:`StreamingSummary.late_waits` — zero in
-every workload, asserted by the tests, so the streamed maximum equals
-the batch maximum.
+Exactness: a batch fold and a live suite run the same code, so they
+agree wherever the reducers see the same events.  The one subtlety is
+concurrency: the Vista thread-unblock record arrives at unblock time
+but describes an interval that *started* at block time, so the live
+sweep buffers interval endpoints and only commits those below a
+watermark ``wait_horizon_ns`` behind the newest event (generously above
+the longest wait timeout any workload uses).  Any endpoint that still
+lands at or before the last committed instant is counted in
+:attr:`StreamingSummary.late_waits` — zero in every workload, asserted
+by the tests, so the streamed maximum equals the batch maximum.  The
+batch fold passes an unbounded horizon and commits once, at
+:meth:`StreamingSummary.finish`.
 """
 
 from __future__ import annotations
 
-import heapq
 import sys
+from bisect import bisect_left, bisect_right
 from itertools import islice
 from typing import Callable, Iterable, Optional, Tuple
 
 from ..sim.clock import JIFFY, SECOND
 from ..tracing.events import (FLAG_WAIT_SATISFIED, EventKind, TimerEvent)
-from .classify import PatternBreakdown, TimerClass, TimerStats
+from .classify import PatternBreakdown, TimerStats
 from .durations import CUTOFF_PCT, DurationScatter, ScatterPoint
 from .episodes import (DEFAULT_TOLERANCE_NS, Episode, EpisodeBuilder,
                        Outcome, quantizes_to_jiffies)
@@ -55,19 +70,32 @@ from .values import ValueHistogram
 #: A wait unblocks at most its timeout after it blocks; the longest
 #: timed wait any modelled workload issues is 60 s, so 120 s of slack
 #: keeps the streamed concurrency sweep exact (``late_waits == 0``)
-#: while bounding the delta buffer to a two-minute window.
+#: while bounding the endpoint buffer to a two-minute window.
 DEFAULT_WAIT_HORIZON_NS = 120 * SECOND
 
 
 class StreamingSummary:
-    """Online Table 1/2 metrics (see :func:`repro.core.summarize`).
+    """Table 1/2 metrics (see :func:`repro.core.summarize`).
 
     Counters are trivially exact; distinct-timer and concurrency
     tracking keep O(timers) and O(active + horizon window) state.
+
+    Maximum concurrency is a sweep over interval endpoints: one open
+    per SET (and per wait, at its block time), one close per expiry,
+    cancel, re-set or trace end.  The endpoints are buffered in two
+    plain int lists; a commit sorts them and applies those below a
+    watermark, closes before opens at the same instant, so a timer
+    re-armed at time t counts once, not twice.  :meth:`emit_batch` ends
+    with a commit at ``wait_horizon_ns`` behind its newest event, and
+    :meth:`finish` commits the rest.  The running level carries over
+    between commits, so applying the sorted endpoints in
+    watermark-cut prefixes gives the same maximum as one sweep over all
+    of them, provided no endpoint arrives at or before an instant
+    already applied — the condition ``late_waits`` counts.
     """
 
     def __init__(self, os_name: str, workload: str, *,
-                 wait_horizon_ns: Optional[int] = None):
+                 wait_horizon_ns: Optional[float] = None):
         self.os_name = os_name
         self.workload = workload
         from ..kern.registry import backend_traits
@@ -75,107 +103,24 @@ class StreamingSummary:
         if wait_horizon_ns is None:
             wait_horizon_ns = DEFAULT_WAIT_HORIZON_NS if self._vista else 0
         self.wait_horizon_ns = wait_horizon_ns
-        self.n_events = 0
-        #: Interval endpoints that arrived behind the committed
-        #: watermark (would make the streamed concurrency inexact).
+        #: Interval endpoints that arrived at or before the last
+        #: committed instant (would make the streamed concurrency
+        #: inexact).
         self.late_waits = 0
-        self.result: Optional[TraceSummary] = None
-        self._timer_ids: set[int] = set()
-        self._pending: set[int] = set()
-        self._deltas: dict[int, list] = {}   # ts -> [closes, opens]
-        self._heap: list[int] = []
+        self._timer_ids: set = set()
+        self._pending: set = set()
+        self._opens: list[int] = []
+        self._closes: list[int] = []
         self._level = 0
         self._concurrency = 0
         self._committed_ts = -1
+        self._commit_at = 0
+        self._last_ts = 0
         self._user = self._kernel = 0
         self._accesses = 0
         self._set = self._expired = self._canceled = 0
 
-    # -- the interval sweep, incrementally ------------------------------
-
-    def _delta(self, ts: int, idx: int) -> None:
-        """Buffer one endpoint (idx 0 = close, 1 = open) at ``ts``."""
-        if ts <= self._committed_ts:
-            self.late_waits += 1
-            ts = self._committed_ts + 1
-        cell = self._deltas.get(ts)
-        if cell is None:
-            cell = self._deltas[ts] = [0, 0]
-            heapq.heappush(self._heap, ts)
-        cell[idx] += 1
-
-    def _commit(self, watermark: int) -> None:
-        """Apply every buffered instant strictly below ``watermark``.
-
-        Closes apply before opens at the same instant — the batch
-        sweep's sort places ``(ts, -1)`` before ``(ts, +1)`` — so a
-        timer re-armed at time t counts once, not twice.
-        """
-        heap, deltas = self._heap, self._deltas
-        while heap and heap[0] < watermark:
-            ts = heapq.heappop(heap)
-            closes, opens = deltas.pop(ts)
-            self._level += opens - closes
-            if self._level > self._concurrency:
-                self._concurrency = self._level
-            self._committed_ts = ts
-
-    # -- sink protocol ---------------------------------------------------
-
-    def emit(self, event: TimerEvent) -> None:
-        self.n_events += 1
-        kind = event.kind
-        ts = event.ts
-        timer_id = event.timer_id
-        if event.host:
-            # Cluster traces: ids are per-host counters, so the same
-            # raw id on two hosts is two distinct timers.
-            timer_id = (event.host, timer_id)
-        self._timer_ids.add(timer_id)
-
-        if not (self._vista and (kind == EventKind.EXPIRE
-                                 or kind == EventKind.INIT)):
-            self._accesses += 1
-            if event.domain == "user":
-                self._user += 1
-            else:
-                self._kernel += 1
-
-        pending = self._pending
-        if kind == EventKind.SET:
-            self._set += 1
-            if timer_id in pending:
-                self._delta(ts, 0)
-            else:
-                pending.add(timer_id)
-            self._delta(ts, 1)
-        elif kind == EventKind.EXPIRE:
-            self._expired += 1
-            if timer_id in pending:
-                pending.discard(timer_id)
-                self._delta(ts, 0)
-        elif kind == EventKind.CANCEL:
-            if event.expires_ns is not None:
-                self._canceled += 1
-            if timer_id in pending:
-                pending.discard(timer_id)
-                self._delta(ts, 0)
-        elif kind == EventKind.WAIT_UNBLOCK:
-            if event.timeout_ns is not None:
-                self._set += 1
-                if event.flags & FLAG_WAIT_SATISFIED:
-                    self._canceled += 1
-                else:
-                    self._expired += 1
-                self._delta(event.expires_ns, 1)   # block timestamp
-                self._delta(ts, 0)
-        self._commit(ts - self.wait_horizon_ns)
-
     def emit_batch(self, events: Iterable[TimerEvent]) -> None:
-        """Per-event :meth:`emit` with the kind dispatch and the
-        commit sweep inlined — state-identical to the sequential path
-        (the sweep applies the same instants at the same watermarks).
-        """
         set_kind = EventKind.SET
         expire_kind = EventKind.EXPIRE
         cancel_kind = EventKind.CANCEL
@@ -183,26 +128,26 @@ class StreamingSummary:
         init_kind = EventKind.INIT
         satisfied = FLAG_WAIT_SATISFIED
         vista = self._vista
-        horizon = self.wait_horizon_ns
         add_id = self._timer_ids.add
         pending = self._pending
-        deltas = self._deltas
-        heap = self._heap
-        heappop = heapq.heappop
-        delta = self._delta
-        n = accesses = user = kernel = 0
+        pending_add = pending.add
+        pending_discard = pending.discard
+        open_ = self._opens.append
+        close = self._closes.append
+        accesses = user = kernel = 0
         sets = expired = canceled = 0
-        # One C-level unpack of the event tuple per iteration replaces
-        # the per-field attribute lookups this loop used to pay.
+        ts = self._last_ts
+        # One C-level unpack of the event tuple per iteration.
         for (kind, ts, timer_id, _pid, _comm, domain, _site,
              timeout_ns, expires_ns, flags, host, _cpu) in events:
-            n += 1
             if host:
                 # Cluster traces: ids are per-host counters, so the
                 # same raw id on two hosts is two distinct timers.
                 timer_id = (host, timer_id)
             add_id(timer_id)
 
+            # ETW-style backends (Vista) expire timers inside the clock
+            # DPC, so EXPIRE/INIT records are not API accesses (§3.3).
             if not (vista and (kind is expire_kind or kind is init_kind)):
                 accesses += 1
                 if domain == "user":
@@ -213,62 +158,94 @@ class StreamingSummary:
             if kind is set_kind:
                 sets += 1
                 if timer_id in pending:
-                    delta(ts, 0)
+                    close(ts)
                 else:
-                    pending.add(timer_id)
-                delta(ts, 1)
+                    pending_add(timer_id)
+                open_(ts)
             elif kind is expire_kind:
                 expired += 1
                 if timer_id in pending:
-                    pending.discard(timer_id)
-                    delta(ts, 0)
+                    pending_discard(timer_id)
+                    close(ts)
             elif kind is cancel_kind:
-                if expires_ns is not None:
+                if expires_ns is not None:    # was actually pending
                     canceled += 1
                 if timer_id in pending:
-                    pending.discard(timer_id)
-                    delta(ts, 0)
+                    pending_discard(timer_id)
+                    close(ts)
             elif kind is wait_kind:
+                # One event describes a whole blocked interval; it
+                # occupied a ring slot between block and unblock.
                 if timeout_ns is not None:
                     sets += 1
                     if flags & satisfied:
                         canceled += 1
                     else:
                         expired += 1
-                    delta(expires_ns, 1)   # block timestamp
-                    delta(ts, 0)
-
-            # _commit(ts - horizon), inlined.
-            watermark = ts - horizon
-            while heap and heap[0] < watermark:
-                cts = heappop(heap)
-                closes, opens = deltas.pop(cts)
-                level = self._level + opens - closes
-                self._level = level
-                if level > self._concurrency:
-                    self._concurrency = level
-                self._committed_ts = cts
-        self.n_events += n
+                    open_(expires_ns)   # block timestamp
+                    close(ts)
+        self._last_ts = ts
         self._accesses += accesses
         self._user += user
         self._kernel += kernel
         self._set += sets
         self._expired += expired
         self._canceled += canceled
+        # Amortised commits: only once the buffer has doubled since the
+        # last one, so each endpoint is sorted O(1) times on average.
+        watermark = ts - self.wait_horizon_ns
+        if watermark > self._committed_ts + 1 and \
+                len(self._opens) + len(self._closes) >= self._commit_at:
+            self._commit(watermark)
+            self._commit_at = 2 * (len(self._opens) + len(self._closes))
+
+    def _commit(self, watermark: float) -> None:
+        """Apply every buffered endpoint strictly below ``watermark``."""
+        opens, closes = self._opens, self._closes
+        opens.sort()
+        closes.sort()
+        committed = self._committed_ts
+        for endpoints in (opens, closes):
+            # Late endpoints sort first; they apply just after the last
+            # committed instant, which keeps the lists sorted.
+            late = bisect_right(endpoints, committed)
+            if late:
+                self.late_waits += late
+                endpoints[:late] = [committed + 1] * late
+        n_opens = bisect_left(opens, watermark)
+        n_closes = bisect_left(closes, watermark)
+        level = self._level
+        peak = self._concurrency
+        j = 0
+        for ts in islice(opens, n_opens):
+            while j < n_closes and closes[j] <= ts:
+                level -= 1
+                j += 1
+            level += 1
+            if level > peak:
+                peak = level
+        self._level = level - (n_closes - j)
+        self._concurrency = peak
+        if n_opens:
+            committed = max(committed, opens[n_opens - 1])
+        if n_closes:
+            committed = max(committed, closes[n_closes - 1])
+        self._committed_ts = committed
+        del opens[:n_opens]
+        del closes[:n_closes]
 
     def state_size(self) -> int:
         """Entries of *transient* sweep state (pending timers plus
-        buffered endpoint instants) — the part that would be O(events)
-        if the trace were buffered instead."""
-        return len(self._pending) + len(self._deltas)
+        buffered endpoints) — the part that would be O(events) if the
+        trace were buffered instead."""
+        return len(self._pending) + len(self._opens) + len(self._closes)
 
     def finish(self, duration_ns: int) -> TraceSummary:
         # Still-armed timers occupy their slot until the trace ends
-        # (their opening +1 was streamed at the SET).
-        for _timer_id in self._pending:
-            self._delta(duration_ns, 0)
+        # (their opening endpoint was buffered at the SET).
+        self._closes.extend([duration_ns] * len(self._pending))
         self._commit(float("inf"))
-        self.result = TraceSummary(
+        result = TraceSummary(
             workload=self.workload, os_name=self.os_name,
             timers=len(self._timer_ids), concurrency=self._concurrency,
             accesses=self._accesses, user_space=self._user,
@@ -276,9 +253,9 @@ class StreamingSummary:
             expired=self._expired, canceled=self._canceled)
         self._timer_ids = set()
         self._pending = set()
-        self._deltas = {}
-        self._heap = []
-        return self.result
+        self._opens = []
+        self._closes = []
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +265,17 @@ class StreamingSummary:
 class _Group:
     """One timer grouping (per-address or per-(site, pid) cluster)."""
 
-    __slots__ = ("key", "comm", "first_site", "set_site", "builder")
+    __slots__ = ("key", "comm", "first_site", "set_site", "builder",
+                 "episodes")
 
-    def __init__(self, key, event: TimerEvent, builder: EpisodeBuilder):
+    def __init__(self, key, event: TimerEvent):
         self.key = key
-        self.comm = event.comm
-        self.first_site = event.site
+        self.comm = event[4]
+        self.first_site = event[6]
         self.set_site: Optional[Tuple[str, ...]] = None
-        self.builder = builder
+        self.builder: Optional[EpisodeBuilder] = None
+        #: Completed episodes not yet handed to the subscribers.
+        self.episodes: list[Episode] = []
 
     @property
     def site(self) -> Tuple[str, ...]:
@@ -312,9 +292,10 @@ class EpisodeRouter:
     incrementally: per timer address (``logical=False``) or per
     (most-recent-SET-site, pid) cluster (``logical=True``, the Vista
     default).  Subscribers get ``on_group(group)`` at group creation
-    (in first-event order, matching the batch grouping dicts) and
-    ``on_episode(group, episode)`` for every completed episode; only
-    the open episode per group is retained.
+    (in first-event order, matching the batch grouping dicts) and, at
+    the end of each :meth:`emit_batch`, ``on_episodes(group, episodes)``
+    with each group's newly completed episodes in order; only the open
+    episode per group is retained.
     """
 
     def __init__(self, os_name: str, *, logical: Optional[bool] = None):
@@ -326,6 +307,8 @@ class EpisodeRouter:
         self._groups: dict = {}
         self._site_of_id: dict = {}
         self._subscribers: list = []
+        #: Groups holding completed episodes not yet dispatched.
+        self._ready: list[_Group] = []
         #: Routing volume counters (mirrored into repro.obs metrics).
         self.groups_created = 0
         self.episodes_routed = 0
@@ -333,70 +316,39 @@ class EpisodeRouter:
     def subscribe(self, consumer) -> None:
         self._subscribers.append(consumer)
 
-    def groups(self) -> Iterable[_Group]:
-        return self._groups.values()
-
     def open_episodes(self) -> int:
         return sum(1 for group in self._groups.values()
                    if group.builder is not None
                    and group.builder._armed_at is not None)
 
-    def _key_for(self, event: TimerEvent):
-        # Host-qualified keys on cluster traces: raw timer ids (and
-        # (site, pid) clusters) are per-host namespaces.
-        host = event.host
-        if not self.logical:
-            return (host, event.timer_id) if host else event.timer_id
-        timer_id = (host, event.timer_id) if host else event.timer_id
-        kind = event.kind
-        if kind == EventKind.SET or kind == EventKind.INIT \
-                or kind == EventKind.WAIT_UNBLOCK:
-            key = (host, event.site, event.pid) if host \
-                else (event.site, event.pid)
-            self._site_of_id[timer_id] = key
-            return key
-        return self._site_of_id.get(
-            timer_id, (host, event.site, event.pid) if host
-            else (event.site, event.pid))
-
     def _new_group(self, key, event: TimerEvent) -> _Group:
-        builder = EpisodeBuilder(self.os_name)
-        group = self._groups[key] = _Group(key, event, builder)
+        group = self._groups[key] = _Group(key, event)
         self.groups_created += 1
-        subscribers = self._subscribers
+        ready = self._ready
 
-        def dispatch(episode: Episode, group=group,
-                     subscribers=subscribers,
-                     router=self) -> None:
-            router.episodes_routed += 1
-            for consumer in subscribers:
-                consumer.on_episode(group, episode)
+        def collect(episode: Episode, group=group) -> None:
+            if not group.episodes:
+                ready.append(group)
+            group.episodes.append(episode)
 
-        builder.on_episode = dispatch
-        for consumer in subscribers:
+        group.builder = EpisodeBuilder(self.os_name, collect)
+        for consumer in self._subscribers:
             consumer.on_group(group)
         return group
 
-    def emit(self, event: TimerEvent) -> None:
-        key = self._key_for(event)
-        group = self._groups.get(key)
-        if group is None:
-            group = self._new_group(key, event)
-        if group.set_site is None and event.kind == EventKind.SET:
-            group.set_site = event.site
-        group.builder.push(event)
+    def _dispatch(self) -> None:
+        subscribers = self._subscribers
+        for group in self._ready:
+            episodes = group.episodes
+            group.episodes = []
+            self.episodes_routed += len(episodes)
+            for consumer in subscribers:
+                consumer.on_episodes(group, episodes)
+        self._ready.clear()
 
     def emit_batch(self, events: Iterable[TimerEvent]) -> None:
-        """Route a whole batch of events in one call.
-
-        Result-identical to calling :meth:`emit` per event — the same
-        groups in the same creation order, the same episodes in the
-        same dispatch order — with the per-event overhead (the call
-        frame, key-routing attribute lookups, the group-dict method
-        resolution) hoisted out of the loop.  This is the fast path the
-        engine's bucket-batch dispatch feeds: one drained bucket, one
-        ``emit_batch``.
-        """
+        """Route a batch of events, then dispatch the episodes it
+        completed."""
         logical = self.logical
         lookup = self._groups.get
         site_of_id = self._site_of_id
@@ -405,104 +357,75 @@ class EpisodeRouter:
         SET = EventKind.SET
         INIT = EventKind.INIT
         WAIT_UNBLOCK = EventKind.WAIT_UNBLOCK
-        # The logical/instance decision is loop-invariant; the hot
-        # per-event fields come from C-level tuple subscripts.
-        if logical:
-            for event in events:
-                kind = event[0]
-                host = event[10]
-                timer_id = (host, event[2]) if host else event[2]
-                if kind is SET or kind is INIT or kind is WAIT_UNBLOCK:
+        # The hot per-event fields come from C-level tuple subscripts.
+        for event in events:
+            kind = event[0]
+            host = event[10]
+            # Host-qualified keys on cluster traces: raw timer ids (and
+            # (site, pid) clusters) are per-host namespaces.
+            timer_id = (host, event[2]) if host else event[2]
+            if not logical:
+                key = timer_id
+            elif kind is SET or kind is INIT or kind is WAIT_UNBLOCK:
+                key = (host, event[6], event[3]) if host \
+                    else (event[6], event[3])      # (site, pid)
+                site_of_id[timer_id] = key
+            else:
+                key = site_lookup(timer_id)
+                if key is None:
                     key = (host, event[6], event[3]) if host \
-                        else (event[6], event[3])      # (site, pid)
-                    site_of_id[timer_id] = key
-                else:
-                    key = site_lookup(timer_id)
-                    if key is None:
-                        key = (host, event[6], event[3]) if host \
-                            else (event[6], event[3])
-                group = lookup(key)
-                if group is None:
-                    group = new_group(key, event)
-                if group.set_site is None and kind is SET:
-                    group.set_site = event[6]
-                group.builder.push(event)
-        else:
-            for event in events:
-                host = event[10]
-                key = (host, event[2]) if host else event[2]
-                group = lookup(key)
-                if group is None:
-                    group = new_group(key, event)
-                if group.set_site is None and event[0] is SET:
-                    group.set_site = event[6]
-                group.builder.push(event)
+                        else (event[6], event[3])
+            group = lookup(key)
+            if group is None:
+                group = new_group(key, event)
+            if group.set_site is None and kind is SET:
+                group.set_site = event[6]
+            group.builder.push(event)
+        self._dispatch()
 
     def finish(self) -> None:
         """Flush still-open episodes as UNRESOLVED, then drop the
-        builders (and their dispatch closures) so finished consumers
-        pickle cleanly across process boundaries."""
+        builders (and their callbacks) so finished consumers pickle
+        cleanly across process boundaries."""
         for group in self._groups.values():
             if group.builder is not None:
                 group.builder.finish()
                 group.builder = None
+        self._dispatch()
         self._site_of_id = {}
 
 
-#: The per-group accumulator moved to :mod:`repro.core.classify` so the
-#: batch classifier shares it; the old private name stays importable.
-_TimerStats = TimerStats
-
-
 class StreamingClassifier:
-    """Online Figure 2 / Table 3: per-group classification counters fed
-    by an :class:`EpisodeRouter` (its own unless one is shared)."""
+    """Figure 2 / Table 3: per-group :class:`TimerStats` fed episode
+    lists (by an :class:`EpisodeRouter`, or by the batch fold in
+    :func:`repro.core.classify.pattern_breakdown` over the index's
+    cached episodes).  Groups are anything with ``site`` and ``comm``:
+    a router group or a :class:`~repro.tracing.trace.TimerHistory`."""
 
     def __init__(self, os_name: str, workload: str, *,
-                 router: Optional[EpisodeRouter] = None,
-                 logical: Optional[bool] = None,
                  tolerance_ns: int = DEFAULT_TOLERANCE_NS):
         self.os_name = os_name
         self.workload = workload
         self.tolerance_ns = tolerance_ns
-        self._own_router = router is None
-        self.router = EpisodeRouter(os_name, logical=logical) \
-            if router is None else router
-        self.router.subscribe(self)
-        #: (group, stats) in group-creation order — the iteration order
-        #: of the batch grouping dicts, which tie-breaks must match.
-        self._stats: list[tuple[_Group, _TimerStats]] = []
-        self._stats_by_id: dict[int, _TimerStats] = {}
+        #: id(group) -> (group, stats), in group-creation order — the
+        #: iteration order of the batch grouping dicts, which
+        #: tie-breaks must match.
+        self._stats: dict[int, tuple] = {}
         self.breakdown: Optional[PatternBreakdown] = None
         self._origin_rows: Optional[dict] = None
 
-    # -- router callbacks ------------------------------------------------
+    def on_group(self, group) -> None:
+        self._stats[id(group)] = (group, TimerStats(self.tolerance_ns))
 
-    def on_group(self, group: _Group) -> None:
-        stats = _TimerStats(self.tolerance_ns)
-        self._stats.append((group, stats))
-        self._stats_by_id[id(group)] = stats
-
-    def on_episode(self, group: _Group, episode: Episode) -> None:
-        self._stats_by_id[id(group)].add(episode)
-
-    def emit(self, event: TimerEvent) -> None:
-        """Standalone-sink mode: only forward when this classifier owns
-        its router (a shared router is fed by the suite)."""
-        if self._own_router:
-            self.router.emit(event)
-
-    def state_size(self) -> int:
-        return self.router.open_episodes()
-
-    # -- results ---------------------------------------------------------
+    def on_episodes(self, group, episodes: list[Episode]) -> None:
+        self._stats[id(group)][1].add_batch(episodes)
 
     def finish(self, duration_ns: int = 0) -> PatternBreakdown:
-        if self._own_router:
-            self.router.finish()
+        """Classify every group; groups timers by (dominant value,
+        origin) for :meth:`origin_table`."""
         breakdown = PatternBreakdown(self.workload, self.os_name)
         origin_rows: dict = {}
-        for group, stats in self._stats:
+        for group, stats in self._stats.values():
             timer_class, value = stats.classify()
             breakdown.counts[timer_class] = \
                 breakdown.counts.get(timer_class, 0) + 1
@@ -519,12 +442,13 @@ class StreamingClassifier:
                 entry["classes"].get(timer_class, 0) + 1
         self.breakdown = breakdown
         self._origin_rows = origin_rows
-        self._stats = []
-        self._stats_by_id = {}
+        self._stats = {}
         return breakdown
 
     def origin_table(self, *, min_sets: int = 3) -> list[OriginRow]:
-        """The Table 3 rows (call after :meth:`finish`)."""
+        """The Table 3 rows (call after :meth:`finish`): a row's class
+        is the majority verdict among its timers, mirroring how the
+        paper combined trace data with code inspection."""
         if self._origin_rows is None:
             raise RuntimeError("origin_table() requires finish() first")
         out = []
@@ -539,8 +463,8 @@ class StreamingClassifier:
 
 
 class StreamingValues:
-    """Online Figure 3–7 value histogram (exact: a counter per distinct
-    nominal value, same keys and counts as the batch scan)."""
+    """Figure 3–7 value histogram (a counter per distinct nominal
+    value; see :func:`repro.core.value_histogram`)."""
 
     def __init__(self, os_name: str, workload: str, *,
                  domain: Optional[str] = None,
@@ -552,31 +476,12 @@ class StreamingValues:
         self.include_waits = include_waits
         self.raw_user_values = raw_user_values
         #: The backend's value-quantisation trait, resolved once — the
-        #: per-event ``nominal_value_ns`` is inlined in the hot loops.
+        #: per-event ``nominal_value_ns`` is inlined in the loop.
         self._quantize = quantizes_to_jiffies(os_name)
         self._counts: dict[int, int] = {}
         self._total = 0
-        self.result: Optional[ValueHistogram] = None
-
-    def emit(self, event: TimerEvent) -> None:
-        kind = event.kind
-        if kind == EventKind.WAIT_UNBLOCK:
-            if not self.include_waits or event.timeout_ns is None:
-                return
-        elif kind != EventKind.SET:
-            return
-        if self.domain is not None and event.domain != self.domain:
-            return
-        value = event.timeout_ns or 0
-        if self.raw_user_values and value > 0 and self._quantize \
-                and event.domain != "user":
-            value = -(-value // JIFFY) * JIFFY
-        self._counts[value] = self._counts.get(value, 0) + 1
-        self._total += 1
 
     def emit_batch(self, events: Iterable[TimerEvent]) -> None:
-        """Per-event :meth:`emit`, with the filters and the
-        quantisation rule hoisted out of the loop."""
         set_kind = EventKind.SET
         wait_kind = EventKind.WAIT_UNBLOCK
         include_waits = self.include_waits
@@ -601,83 +506,77 @@ class StreamingValues:
             total += 1
         self._total += total
 
-    def state_size(self) -> int:
-        return 0       # the histogram itself is the result, not state
-
     def finish(self, duration_ns: int = 0) -> ValueHistogram:
-        self.result = ValueHistogram(self.workload, self.os_name,
-                                     self._total, self._counts)
-        return self.result
+        return ValueHistogram(self.workload, self.os_name, self._total,
+                              self._counts)
 
 
 class StreamingDurations:
-    """Online Figure 8–11 scatter.
+    """Figure 8–11 scatter (see :func:`repro.core.duration_scatter`).
 
     The aggregated (value, fraction, outcome) cells are exact — the
-    batch scatter sorts its cells, so interleaved cross-timer episode
-    order cannot show.  Fraction quantiles are exact too, and cost
-    nothing per episode: every plotted fraction already lives in the
-    bounded cell aggregation with its multiplicity, so
-    :meth:`fraction_quantiles` takes weighted quantiles over the cells
-    instead of running per-episode online estimators (the P² estimator
-    this reducer used to feed lives on in :mod:`repro.core.adaptive`).
+    scatter sorts its cells, so interleaved cross-timer episode order
+    cannot show.  Fraction quantiles are exact too, and cost nothing
+    per episode: every plotted fraction already lives in the bounded
+    cell aggregation with its multiplicity, so
+    :meth:`fraction_quantiles` takes weighted quantiles over the cells.
     """
 
     QUANTILES = (0.5, 0.9, 0.99)
 
     def __init__(self, os_name: str, workload: str, *,
-                 router: Optional[EpisodeRouter] = None,
-                 logical: Optional[bool] = None,
                  cutoff_pct: float = CUTOFF_PCT):
         self.os_name = os_name
         self.workload = workload
         self.cutoff_pct = cutoff_pct
-        self._own_router = router is None
-        self.router = EpisodeRouter(os_name, logical=logical) \
-            if router is None else router
-        self.router.subscribe(self)
-        self._agg: dict = {}
+        # Only EXPIRED and CANCELED episodes survive the filters, so
+        # aggregate into one dict per outcome keyed by plain
+        # (int, float) tuples — no enum hashing per episode.
+        self._expired: dict[tuple[int, float], int] = {}
+        self._canceled: dict[tuple[int, float], int] = {}
         self._skipped = 0
         self._clipped = 0
-        self._fq: Optional[dict] = None
-        self.result: Optional[DurationScatter] = None
 
-    def on_group(self, group: _Group) -> None:
+    def on_group(self, group) -> None:
         pass
 
-    def on_episode(self, _group: _Group, episode: Episode) -> None:
-        outcome = episode.outcome
-        if outcome == Outcome.UNRESOLVED or outcome == Outcome.REARMED:
-            return
-        if episode.value_ns <= 0:
-            self._skipped += 1
-            return
-        fraction = episode.elapsed_fraction
-        if fraction is None:
-            return
-        pct = round(100.0 * fraction, 1)
-        if pct > self.cutoff_pct:
-            self._clipped += 1
-            return
-        key = (episode.value_ns, pct, outcome)
-        self._agg[key] = self._agg.get(key, 0) + 1
-
-    def emit(self, event: TimerEvent) -> None:
-        if self._own_router:
-            self.router.emit(event)
-
-    def state_size(self) -> int:
-        return self.router.open_episodes() if self._own_router else 0
+    def on_episodes(self, _group, episodes: list[Episode]) -> None:
+        agg_e = self._expired
+        agg_c = self._canceled
+        agg_e_get = agg_e.get
+        agg_c_get = agg_c.get
+        cutoff = self.cutoff_pct
+        skipped = clipped = 0
+        UNRESOLVED = Outcome.UNRESOLVED
+        REARMED = Outcome.REARMED
+        EXPIRED = Outcome.EXPIRED
+        for set_at, value_ns, outcome, ended_at, _gap in episodes:
+            if outcome is UNRESOLVED or outcome is REARMED:
+                continue
+            if value_ns <= 0:
+                skipped += 1
+                continue
+            if ended_at is None:
+                continue
+            pct = round(100.0 * (ended_at - set_at) / value_ns, 1)
+            if pct > cutoff:
+                clipped += 1
+                continue
+            key = (value_ns, pct)
+            if outcome is EXPIRED:
+                agg_e[key] = agg_e_get(key, 0) + 1
+            else:
+                agg_c[key] = agg_c_get(key, 0) + 1
+        self._skipped += skipped
+        self._clipped += clipped
 
     def fraction_quantiles(self) -> dict[float, Optional[float]]:
         """Exact weighted quantiles of the plotted fraction
-        distribution (%), computed from the aggregation cells (or the
-        snapshot :meth:`finish` takes before dropping them)."""
-        if self._fq is not None:
-            return dict(self._fq)
+        distribution (%), computed from the aggregation cells."""
         weights: dict[float, int] = {}
-        for (_value, pct, _outcome), n in self._agg.items():
-            weights[pct] = weights.get(pct, 0) + n
+        for agg in (self._expired, self._canceled):
+            for (_value, pct), n in agg.items():
+                weights[pct] = weights.get(pct, 0) + n
         total = sum(weights.values())
         if not total:
             return {p: None for p in self.QUANTILES}
@@ -694,24 +593,25 @@ class StreamingDurations:
         return out
 
     def finish(self, duration_ns: int = 0) -> DurationScatter:
-        if self._own_router:
-            self.router.finish()
-        self._fq = self.fraction_quantiles()
         scatter = DurationScatter(self.workload, self.os_name)
         scatter.skipped = self._skipped
         scatter.clipped = self._clipped
+        combined = [(v, pct, outcome, n)
+                    for outcome, agg in ((Outcome.EXPIRED, self._expired),
+                                         (Outcome.CANCELED,
+                                          self._canceled))
+                    for (v, pct), n in agg.items()]
         scatter.points = [
-            ScatterPoint(v, pct, n, outcome) for (v, pct, outcome), n in
-            sorted(self._agg.items(), key=lambda kv: (kv[0][0], kv[0][1],
-                                                      kv[0][2].value))]
-        self.result = scatter
-        self._agg = {}
+            ScatterPoint(v, pct, n, outcome) for v, pct, outcome, n in
+            sorted(combined, key=lambda t: (t[0], t[1], t[2].value))]
         return scatter
 
 
 class StreamingRates:
-    """Online Figure 1 set-rate series (sparse buckets; the series is
-    materialised at :meth:`finish`, once the duration is known)."""
+    """Figure 1 set-rate series (see :func:`repro.core.rate_series`):
+    sparse buckets, materialised at :meth:`finish` once the duration is
+    known.  A group whose every set lands at or past the last bucket
+    gets no row."""
 
     def __init__(self, os_name: str, workload: str, *,
                  bucket_ns: int = SECOND,
@@ -723,30 +623,18 @@ class StreamingRates:
         self.group_fn = group_fn
         self.kinds = kinds
         self._sparse: dict[str, dict[int, int]] = {}
-        self.result: Optional[RateSeries] = None
-
-    def emit(self, event: TimerEvent) -> None:
-        kind = event.kind
-        if kind not in self.kinds:
-            return
-        ts = event.ts
-        if kind == EventKind.WAIT_UNBLOCK:
-            if event.timeout_ns is None:
-                return
-            ts = event.expires_ns        # block timestamp
-        bucket = ts // self.bucket_ns
-        group = self._sparse.get(self.group_fn(event))
-        if group is None:
-            group = self._sparse[self.group_fn(event)] = {}
-        group[bucket] = group.get(bucket, 0) + 1
+        # The default grouping is a pure function of (domain, comm),
+        # both drawn from small sets — memoise it per pair instead of
+        # paying the string scans once per event.
+        self._group_memo: Optional[dict] = \
+            {} if group_fn is default_group else None
 
     def emit_batch(self, events: Iterable[TimerEvent]) -> None:
-        """Per-event :meth:`emit` with the filter and bucket math
-        hoisted out of the loop."""
         kinds = self.kinds
         wait_kind = EventKind.WAIT_UNBLOCK
         bucket_ns = self.bucket_ns
         group_fn = self.group_fn
+        group_memo = self._group_memo
         sparse = self._sparse
         sparse_get = sparse.get
         for event in events:
@@ -758,28 +646,31 @@ class StreamingRates:
                 if event[7] is None:          # timeout_ns
                     continue
                 ts = event[8]                 # block timestamp
-            name = group_fn(event)
+            if group_memo is None:
+                name = group_fn(event)
+            else:
+                memo_key = (event[5], event[4])   # (domain, comm)
+                name = group_memo.get(memo_key)
+                if name is None:
+                    name = group_memo[memo_key] = group_fn(event)
             group = sparse_get(name)
             if group is None:
                 group = sparse[name] = {}
             bucket = ts // bucket_ns
             group[bucket] = group.get(bucket, 0) + 1
 
-    def state_size(self) -> int:
-        return 0       # the series is the result, not transient state
-
     def finish(self, duration_ns: int) -> RateSeries:
         n_buckets = max(1, -(-duration_ns // self.bucket_ns))
         series: dict[str, list[int]] = {}
         for name, sparse in self._sparse.items():
-            row = [0] * n_buckets
+            row = None
             for bucket, count in sparse.items():
                 if bucket < n_buckets:
-                    row[bucket] = count
-            series[name] = row
-        self.result = RateSeries(self.bucket_ns, n_buckets, series)
+                    if row is None:
+                        row = series[name] = [0] * n_buckets
+                    row[bucket] += count
         self._sparse = {}
-        return self.result
+        return RateSeries(self.bucket_ns, n_buckets, series)
 
 
 class StreamingSuite:
@@ -794,8 +685,16 @@ class StreamingSuite:
     pickles across process boundaries (the ``run_study_traces``
     ``sink_factory`` path).
 
+    :meth:`emit` appends each live event to a buffer; the buffer is
+    folded through every reducer's ``emit_batch`` in chunks that end on
+    multiples of ``sample_every`` events (and at :meth:`finish` or
+    :meth:`state_size`), however the events arrive — one at a time or
+    through :meth:`emit_batch` in slices of any size — so every reducer
+    sees the same chunks and ``peak_state`` is sampled at the same
+    points.
+
     :meth:`state_size` counts the transient aggregation entries (open
-    episodes, pending timers, buffered sweep instants); ``peak_state``
+    episodes, pending timers, buffered sweep endpoints); ``peak_state``
     samples its maximum every ``sample_every`` events — the number the
     bounded-memory benchmark tracks.
     """
@@ -809,15 +708,18 @@ class StreamingSuite:
         self.n_events = 0
         self.sample_every = sample_every
         self.peak_state = 0
+        self._buffer: list[TimerEvent] = []
+        #: Buffered events that end the current chunk.
+        self._chunk = sample_every
         self.router = EpisodeRouter(os_name, logical=logical)
         self.summary_reducer = StreamingSummary(os_name, workload)
-        self.classifier = StreamingClassifier(
-            os_name, workload, router=self.router,
-            tolerance_ns=tolerance_ns)
+        self.classifier = StreamingClassifier(os_name, workload,
+                                              tolerance_ns=tolerance_ns)
         self.values_reducer = StreamingValues(os_name, workload)
-        self.durations_reducer = StreamingDurations(
-            os_name, workload, router=self.router)
+        self.durations_reducer = StreamingDurations(os_name, workload)
         self.rates_reducer = StreamingRates(os_name, workload)
+        self.router.subscribe(self.classifier)
+        self.router.subscribe(self.durations_reducer)
         self.finished = False
         self.duration_ns: Optional[int] = None
         self._groups_routed = 0
@@ -829,65 +731,64 @@ class StreamingSuite:
         self.rates: Optional[RateSeries] = None
 
     def emit(self, event: TimerEvent) -> None:
-        self.n_events += 1
-        self.summary_reducer.emit(event)
-        self.values_reducer.emit(event)
-        self.rates_reducer.emit(event)
-        self.router.emit(event)
-        if self.n_events % self.sample_every == 0:
-            size = self.state_size()
-            if size > self.peak_state:
-                self.peak_state = size
+        buffer = self._buffer
+        buffer.append(event)
+        if len(buffer) == self._chunk:
+            self._fold()
 
     def emit_batch(self, events: Iterable[TimerEvent]) -> None:
-        """Fold a whole batch of events through every reducer.
-
-        Result-identical to calling :meth:`emit` per event.  The
-        reducers are mutually independent (each one's state is touched
-        only by its own ``emit``), so the batch is processed
-        column-wise — one batch call per reducer, then one
-        :meth:`EpisodeRouter.emit_batch` — in chunks aligned to the
-        ``sample_every`` boundary, which keeps every reducer's event
-        order *and* the ``peak_state`` sampling points identical to
-        the sequential path (see ``benchmarks/bench_streaming.py``).
+        """Fold a batch of events, exactly as if each were passed to
+        :meth:`emit`.
 
         A zero-copy :class:`~repro.tracing.binfmt2.ColumnarTrace` is a
         first-class source: its ``__iter__`` hydrates events lazily
         from the mmap'd columns, so each chunk is materialised once,
-        shared by all four reducer loops, and released — the whole
-        event list never exists in memory.
+        shared by every reducer loop, and released — the whole event
+        list never exists in memory.
         """
         it = iter(events)
-        sample_every = self.sample_every
-        summary_batch = self.summary_reducer.emit_batch
-        values_batch = self.values_reducer.emit_batch
-        rates_batch = self.rates_reducer.emit_batch
-        route_batch = self.router.emit_batch
+        buffer = self._buffer
         while True:
-            take = sample_every - self.n_events % sample_every
-            chunk = list(islice(it, take))
-            if not chunk:
+            buffer.extend(islice(it, self._chunk - len(buffer)))
+            if len(buffer) < self._chunk:
                 return
-            summary_batch(chunk)
-            values_batch(chunk)
-            rates_batch(chunk)
-            route_batch(chunk)
-            self.n_events += len(chunk)
-            if len(chunk) == take:
-                size = self.state_size()
-                if size > self.peak_state:
-                    self.peak_state = size
+            self._fold()
+            buffer = self._buffer
 
-    def state_size(self) -> int:
+    def _fold(self) -> None:
+        """Run the buffered chunk through every reducer, then sample
+        the state at each ``sample_every`` boundary."""
+        chunk = self._buffer
+        self._buffer = []
+        self.summary_reducer.emit_batch(chunk)
+        self.values_reducer.emit_batch(chunk)
+        self.rates_reducer.emit_batch(chunk)
+        self.router.emit_batch(chunk)
+        self.n_events += len(chunk)
+        self._chunk = self.sample_every - self.n_events % self.sample_every
+        if self._chunk == self.sample_every:
+            self._sample()
+
+    def _entries(self) -> int:
         return self.summary_reducer.state_size() \
             + self.router.open_episodes()
+
+    def _sample(self) -> None:
+        size = self._entries()
+        if size > self.peak_state:
+            self.peak_state = size
+
+    def state_size(self) -> int:
+        if self._buffer:
+            self._fold()
+        return self._entries()
 
     def finish(self, duration_ns: int) -> "StreamingSuite":
         if self.finished:
             return self
-        size = self.state_size()
-        if size > self.peak_state:
-            self.peak_state = size
+        if self._buffer:
+            self._fold()
+        self._sample()
         self.duration_ns = duration_ns
         self.router.finish()
         self.summary = self.summary_reducer.finish(duration_ns)
@@ -897,9 +798,7 @@ class StreamingSuite:
         self.rates = self.rates_reducer.finish(duration_ns)
         self._groups_routed = self.router.groups_created
         self._episodes_routed = self.router.episodes_routed
-        self.router = None          # drop dispatch closures: picklable
-        self.classifier.router = None
-        self.durations_reducer.router = None
+        self.router = None          # drop episode callbacks: picklable
         self.finished = True
         return self
 
@@ -922,13 +821,15 @@ class StreamingSuite:
             else router.episodes_routed
 
     def live_state(self) -> dict:
-        """Point-in-time progress counters, safe both mid-run and after
-        :meth:`finish` (when the transient state has been dropped) —
-        the ``timerstudy serve`` daemon reports these on ``/statusz``.
+        """Point-in-time progress counters over the events folded so
+        far, safe both mid-run and after :meth:`finish` (when the
+        transient state has been dropped) — the ``timerstudy serve``
+        daemon reports these on ``/statusz``.  Folds nothing, so it
+        never runs the reducers on the caller's thread.
         """
         return {
             "events": self.n_events,
-            "state_entries": 0 if self.finished else self.state_size(),
+            "state_entries": 0 if self.finished else self._entries(),
             "state_peak": self.peak_state,
             "groups": self.groups_routed,
             "episodes": self.episodes_routed,

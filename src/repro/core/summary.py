@@ -19,10 +19,7 @@ to set+canceled rather than including expiries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from ..tracing.events import FLAG_WAIT_SATISFIED, EventKind
-from ..tracing.trace import Trace
 from .index import as_index
 
 
@@ -51,123 +48,21 @@ class TraceSummary:
 
 
 def summarize(source) -> TraceSummary:
-    """Compute the Table 1/2 metrics for one trace or index (memoised
-    on the :class:`~repro.core.index.TraceIndex`)."""
+    """Compute the Table 1/2 metrics for one trace or index: a fold of
+    :class:`~repro.core.streaming.StreamingSummary` over its events
+    (memoised on the :class:`~repro.core.index.TraceIndex`)."""
     index = as_index(source)
     summary = index.memo.get("summary")
     if summary is None:
-        summary = index.memo["summary"] = \
-            _compute_summary(index.trace, n_timers=index.n_timers)
+        from .streaming import StreamingSummary
+        trace = index.trace
+        # Every endpoint is buffered before the one commit at finish(),
+        # so the sweep is exact on any trace.
+        reducer = StreamingSummary(trace.os_name, trace.workload,
+                                   wait_horizon_ns=float("inf"))
+        reducer.emit_batch(trace.events)
+        summary = index.memo["summary"] = reducer.finish(trace.duration_ns)
     return summary
-
-
-def max_concurrency(opens: list[int], closes: list[int]) -> int:
-    """Sweep two endpoint lists (mutated: sorted in place) for the
-    maximum number of simultaneously pending timers.
-
-    Closings apply before openings at the same instant so a timer
-    re-armed at time t counts as one pending timer, not two — the same
-    tie-break the historical ``(ts, ±1)`` tuple sort encoded, but over
-    two plain int lists (C-speed sort, no tuple per endpoint).
-    """
-    opens.sort()
-    closes.sort()
-    concurrency = level = 0
-    j = 0
-    n_closes = len(closes)
-    for ts in opens:
-        while j < n_closes and closes[j] <= ts:
-            level -= 1
-            j += 1
-        level += 1
-        if level > concurrency:
-            concurrency = level
-    return concurrency
-
-
-def _compute_summary(trace: Trace, *,
-                     n_timers: Optional[int] = None) -> TraceSummary:
-    pending_since: dict[int, int] = {}
-    opens: list[int] = []     # interval start timestamps
-    closes: list[int] = []    # interval end timestamps
-    user = kernel = 0
-    set_count = expired = canceled = 0
-    accesses = 0
-    # ETW-style backends (Vista) expire timers inside the clock DPC, so
-    # EXPIRE/INIT records are not API accesses there (§3.3).
-    from ..kern.registry import backend_traits
-    vista = backend_traits(trace.os_name).etw_style
-
-    timer_ids: Optional[set] = set() if n_timers is None else None
-    pending_pop = pending_since.pop
-    opens_append = opens.append
-    closes_append = closes.append
-    SET = EventKind.SET
-    EXPIRE = EventKind.EXPIRE
-    CANCEL = EventKind.CANCEL
-    WAIT_UNBLOCK = EventKind.WAIT_UNBLOCK
-    INIT = EventKind.INIT
-
-    for (kind, ts, timer_id, _pid, _comm, domain, _site,
-         timeout_ns, expires_ns, flags, host, _cpu) in trace.events:
-        if host:
-            # Cluster traces: ids are per-host counters, so the same
-            # raw id on two hosts is two distinct timers.
-            timer_id = (host, timer_id)
-        if timer_ids is not None:
-            timer_ids.add(timer_id)
-
-        if not (vista and (kind is EXPIRE or kind is INIT)):
-            # Ring expiry runs inside the clock DPC, not through the
-            # instrumented KeSet/KeCancel entry points.
-            accesses += 1
-            if domain == "user":
-                user += 1
-            else:
-                kernel += 1
-
-        if kind is SET:
-            set_count += 1
-            start = pending_pop(timer_id, None)
-            if start is not None:
-                opens_append(start)
-                closes_append(ts)
-            pending_since[timer_id] = ts
-        elif kind is EXPIRE:
-            expired += 1
-            start = pending_pop(timer_id, None)
-            if start is not None:
-                opens_append(start)
-                closes_append(ts)
-        elif kind is CANCEL:
-            if expires_ns is not None:    # was actually pending
-                canceled += 1
-            start = pending_pop(timer_id, None)
-            if start is not None:
-                opens_append(start)
-                closes_append(ts)
-        elif kind is WAIT_UNBLOCK:
-            # One event describes a whole blocked interval; it occupied
-            # a ring slot between block and unblock.
-            if timeout_ns is not None:
-                set_count += 1
-                if flags & FLAG_WAIT_SATISFIED:
-                    canceled += 1
-                else:
-                    expired += 1
-                opens_append(expires_ns)   # block ts
-                closes_append(ts)
-
-    for start in pending_since.values():
-        opens_append(start)
-        closes_append(trace.duration_ns)
-
-    return TraceSummary(
-        workload=trace.workload, os_name=trace.os_name,
-        timers=len(timer_ids) if timer_ids is not None else n_timers,
-        concurrency=max_concurrency(opens, closes), accesses=accesses,
-        user_space=user, kernel=kernel, set_count=set_count,
-        expired=expired, canceled=canceled)
 
 
 def summary_table(summaries: list[TraceSummary]) -> str:

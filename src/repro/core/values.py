@@ -18,7 +18,6 @@ from typing import Optional
 
 from ..sim.clock import JIFFY, MILLISECOND, SECOND, to_seconds
 from ..tracing.events import EventKind
-from .episodes import quantizes_to_jiffies
 from .index import as_index
 
 
@@ -61,30 +60,17 @@ def value_histogram(source, *, domain: Optional[str] = None,
 
     ``domain="user"`` restricts to syscall-level accesses (Figure 6).
     ``raw_user_values`` keeps user values exactly as requested; kernel
-    observations are quantised back to jiffies on Linux.
+    observations are quantised back to jiffies on Linux.  A fold of
+    :class:`~repro.core.streaming.StreamingValues` over the index's
+    set-like events.
     """
+    from .streaming import StreamingValues
     index = as_index(source)
-    counts: dict[int, int] = {}
-    counts_get = counts.get
-    total = 0
-    WAIT_UNBLOCK = EventKind.WAIT_UNBLOCK
-    # nominal_value_ns, with the backend-trait lookup hoisted out of
-    # the per-event path.
-    quantize = raw_user_values and quantizes_to_jiffies(index.os_name)
-    for (kind, _ts, _tid, _pid, _comm, event_domain, _site,
-         timeout, _expires, _flags, _host, _cpu) in index.set_like:
-        if kind is WAIT_UNBLOCK:
-            if not include_waits or timeout is None:
-                continue
-        if domain is not None and event_domain != domain:
-            continue
-        value = timeout or 0
-        if quantize and value > 0 and event_domain != "user":
-            value = -(-value // JIFFY) * JIFFY
-        counts[value] = counts_get(value, 0) + 1
-        total += 1
-    return ValueHistogram(index.trace.workload, index.os_name, total,
-                          counts)
+    reducer = StreamingValues(index.os_name, index.trace.workload,
+                              domain=domain, include_waits=include_waits,
+                              raw_user_values=raw_user_values)
+    reducer.emit_batch(index.set_like)
+    return reducer.finish()
 
 
 def countdown_series(source, comm: str) -> list[tuple[int, int]]:

@@ -501,7 +501,7 @@ def collect_streaming(suite, registry: MetricsRegistry,
     registry.gauge(
         "repro_streaming_state_entries",
         "Live aggregation state (pending timers + buffered sweep "
-        "instants + open episodes) at collection time.",
+        "endpoints + open episodes) at collection time.",
         names).set(0 if suite.finished else suite.state_size(), **labels)
     registry.gauge(
         "repro_streaming_state_peak",

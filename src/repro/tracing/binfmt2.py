@@ -54,6 +54,7 @@ import struct
 import sys
 from array import array
 from itertools import repeat
+from operator import itemgetter
 from typing import BinaryIO, Iterator, Optional
 
 from ..gcpolicy import young_gc_only
@@ -166,57 +167,45 @@ def dump_trace_v2(trace: "Trace | ColumnarTrace", out: BinaryIO, *,
     version = _check_version(version, lambda: trace_is_multihost(trace))
     with_identity = version == VERSION3
     events = trace.events
-    comms: dict[str, int] = {}
-    sites: dict[tuple, int] = {}
-    for event in events:
-        comms.setdefault(event.comm, len(comms))
-        sites.setdefault(event.site, len(sites))
-    # Insertion order == index order.
+    # Column by column: each column is built from one C-level pass over
+    # its field, with no per-event Python loop and no transposed copy.
+
+    def field(i):
+        return map(itemgetter(i), events)
+
+    # Insertion order == index order (first appearance).
+    comms = {comm: i for i, comm in enumerate(dict.fromkeys(field(4)))}
+    sites = {site: i for i, site in enumerate(dict.fromkeys(field(6)))}
     _write_header(out, version, trace, len(events), comms, sites)
 
-    ts_col = array("q")
-    id_col = array("Q")
-    to_col = array("q")
-    ex_col = array("q")
-    pid_col = array("I")
-    comm_col = array("I")
-    site_col = array("I")
-    kind_col = bytearray(len(events))
-    flag_col = bytearray(len(events))
-    dom_col = bytearray(len(events))
-    host_col = bytearray(len(events)) if with_identity else None
-    cpu_col = array("H") if with_identity else None
-    for i, event in enumerate(events):
-        ts_col.append(event.ts)
-        id_col.append(event.timer_id)
-        timeout = event.timeout_ns
-        to_col.append(_NONE if timeout is None else timeout)
-        expires = event.expires_ns
-        ex_col.append(_NONE if expires is None else expires)
-        pid_col.append(event.pid)
-        comm_col.append(comms[event.comm])
-        site_col.append(sites[event.site])
-        kind_col[i] = int(event.kind)
-        flag_col[i] = event.flags & 0xFF
-        dom_col[i] = 1 if event.domain == "user" else 0
-        if with_identity:
-            host, cpu = event.host, event.cpu
+    ts_col = array("q", field(1))
+    id_col = array("Q", field(2))
+    to_col = array("q", [_NONE if t is None else t for t in field(7)])
+    ex_col = array("q", [_NONE if e is None else e for e in field(8)])
+    pid_col = array("I", field(3))
+    comm_col = array("I", map(comms.__getitem__, field(4)))
+    site_col = array("I", map(sites.__getitem__, field(6)))
+    kind_col = bytes(field(0))
+    flag_col = bytes([f & 0xFF for f in field(9)])
+    dom_col = bytes([d == "user" for d in field(5)])
+    if with_identity:
+        for host, cpu in zip(field(10), field(11)):
             if not 0 <= host <= 0xFF or not 0 <= cpu <= 0xFFFF:
                 raise TraceFormatError(
                     f"host/cpu out of range for trace format "
                     f"(host={host}, cpu={cpu}; limits 255/65535)")
-            host_col[i] = host
-            cpu_col.append(cpu)
+        host_col = bytes(field(10))
+        cpu_col = array("H", field(11))
     for col in (ts_col, id_col, to_col, ex_col,
                 pid_col, comm_col, site_col):
         if not _LITTLE:
             col.byteswap()
         out.write(col.tobytes())
-    out.write(bytes(kind_col))
-    out.write(bytes(flag_col))
-    out.write(bytes(dom_col))
+    out.write(kind_col)
+    out.write(flag_col)
+    out.write(dom_col)
     if with_identity:
-        out.write(bytes(host_col))
+        out.write(host_col)
         if not _LITTLE:
             cpu_col.byteswap()
         out.write(cpu_col.tobytes())

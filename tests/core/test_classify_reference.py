@@ -4,10 +4,9 @@ These are the multi-pass helpers the classifier was first written
 with: each statistic computed by its own walk over the episode list.
 :class:`repro.core.classify.TimerStats` folds all of them into one
 pass; the property test below checks, over generated episode streams,
-that the fold agrees with every reference statistic, whether it is
-fed one episode at a time (:meth:`TimerStats.add`, the streaming
-path), as one list (:meth:`TimerStats.add_batch`, the batch path) or
-as a list split in two.
+that the fold agrees with every reference statistic, whether
+:meth:`TimerStats.add_batch` is fed one episode at a time, the whole
+list at once or the list split in two.
 """
 
 from hypothesis import given, settings
@@ -134,7 +133,7 @@ def episode_lists(draw):
 def fold_per_episode(episodes):
     stats = TimerStats(TOL)
     for episode in episodes:
-        stats.add(episode)
+        stats.add_batch([episode])
     return stats
 
 

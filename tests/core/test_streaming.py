@@ -2,6 +2,7 @@
 bounded state, behind the unified ``analyze()`` surface."""
 
 import pickle
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.core.analyze import Analysis
 from repro.core.streaming import ProgressSink
 from repro.sim.clock import MINUTE
 from repro.tracing import write_trace
+from repro.workloads import base
 
 DURATION = int(0.5 * MINUTE)
 
@@ -42,14 +44,42 @@ def vista_pair():
     return _traced_pair("vista", "idle")
 
 
+@pytest.fixture(scope="module")
+def firefox_pair():
+    # The busiest Linux study trace: thousands of episodes per second,
+    # so scatter cells whose fraction sits on a rounding boundary occur.
+    return _traced_pair("linux", "firefox", int(0.25 * MINUTE))
+
+
+@pytest.fixture(scope="module")
+def skype_pair():
+    return _traced_pair("vista", "skype", int(0.25 * MINUTE))
+
+
+ALL_PAIRS = ["linux_pair", "vista_pair", "firefox_pair", "skype_pair"]
+
+
+def _weighted_quantiles(points, quantiles=(0.5, 0.9, 0.99)):
+    """Reference quantiles of the plotted fractions, straight from a
+    scatter's points (each weighted by its count)."""
+    pcts = sorted(p.fraction_pct for p in points for _ in range(p.count))
+    if not pcts:
+        return {q: None for q in quantiles}
+    out = {}
+    for q in quantiles:
+        rank = q * len(pcts)
+        out[q] = next(pct for i, pct in enumerate(pcts, 1) if i >= rank)
+    return out
+
+
 class TestStreamingEqualsBatch:
-    @pytest.mark.parametrize("pair", ["linux_pair", "vista_pair"])
+    @pytest.mark.parametrize("pair", ALL_PAIRS)
     def test_summary_exact(self, pair, request):
         trace, suite = request.getfixturevalue(pair)
         assert suite.summary == summarize(trace)
         assert suite.late_waits == 0
 
-    @pytest.mark.parametrize("pair", ["linux_pair", "vista_pair"])
+    @pytest.mark.parametrize("pair", ALL_PAIRS)
     def test_breakdown_exact(self, pair, request):
         trace, suite = request.getfixturevalue(pair)
         batch = pattern_breakdown(trace)
@@ -57,30 +87,40 @@ class TestStreamingEqualsBatch:
         assert suite.breakdown.total == batch.total
         assert suite.breakdown.figure2_row() == batch.figure2_row()
 
-    @pytest.mark.parametrize("pair", ["linux_pair", "vista_pair"])
+    @pytest.mark.parametrize("pair", ALL_PAIRS)
     def test_histogram_exact(self, pair, request):
         trace, suite = request.getfixturevalue(pair)
-        assert suite.histogram.counts == value_histogram(trace).counts
+        batch = value_histogram(trace)
+        assert suite.histogram.counts == batch.counts
+        assert suite.histogram.total_sets == batch.total_sets
 
-    @pytest.mark.parametrize("pair", ["linux_pair", "vista_pair"])
+    @pytest.mark.parametrize("pair", ALL_PAIRS)
     def test_scatter_exact(self, pair, request):
         trace, suite = request.getfixturevalue(pair)
         batch = duration_scatter(trace)
         assert suite.scatter.points == batch.points
         assert suite.scatter.skipped == batch.skipped
         assert suite.scatter.clipped == batch.clipped
+        assert suite.fraction_quantiles() == \
+            _weighted_quantiles(batch.points)
 
-    @pytest.mark.parametrize("pair", ["linux_pair", "vista_pair"])
+    @pytest.mark.parametrize("pair", ALL_PAIRS)
     def test_origin_table_exact(self, pair, request):
         trace, suite = request.getfixturevalue(pair)
-        assert suite.origin_table(min_sets=3) == \
-            origin_table(trace, min_sets=3)
+        for min_sets in (3, 5):
+            assert suite.origin_table(min_sets=min_sets) == \
+                origin_table(trace, min_sets=min_sets)
 
-    @pytest.mark.parametrize("pair", ["linux_pair", "vista_pair"])
+    @pytest.mark.parametrize("pair", ALL_PAIRS)
     def test_rates_exact(self, pair, request):
         trace, suite = request.getfixturevalue(pair)
         batch = rate_series(trace, duration_ns=trace.duration_ns)
-        assert suite.rates.series == batch.series
+        assert suite.rates == batch
+
+    @pytest.mark.parametrize("pair", ALL_PAIRS)
+    def test_event_count_exact(self, pair, request):
+        trace, suite = request.getfixturevalue(pair)
+        assert suite.n_events == len(trace)
 
     def test_fraction_quantiles_ordered_and_in_range(self, linux_pair):
         trace, suite = linux_pair
@@ -172,19 +212,29 @@ class TestGoldenOutput:
         assert "(unavailable on a streaming analysis)" in stream
 
 
+def suite_factory(os_name, workload):
+    return [StreamingSuite(os_name, workload)]
+
+
 class TestStudySinkFactory:
-    def test_sinks_ride_the_study_driver(self):
+    def test_sinks_ride_the_study_driver(self, monkeypatch):
+        def no_serial(*_args, **_kwargs):
+            raise AssertionError("the study driver fell back to serial")
+
+        # Every finished suite must cross the pool's process boundary.
+        monkeypatch.setattr(base, "_run_serial", no_serial)
         jobs = [("linux", "idle", DURATION, 0),
                 ("vista", "idle", DURATION, 0)]
-        results = run_study_traces(
-            jobs, processes=2,
-            sink_factory=lambda os_name, wl: [StreamingSuite(os_name, wl)])
+        results = run_study_traces(jobs, processes=2,
+                                   sink_factory=suite_factory)
         assert len(results) == 2
         for (os_name, wl, duration, seed), (trace, sinks) in \
                 zip(jobs, results):
             (suite,) = sinks
             assert suite.finished
             assert suite.summary == summarize(trace)
+            assert suite.rates == rate_series(trace)
+            assert suite.scatter.points == duration_scatter(trace).points
 
     def test_retain_events_false_drops_traces(self):
         jobs = [("linux", "idle", DURATION, 0)]
@@ -230,35 +280,45 @@ class TestEmitBatch:
 
     @pytest.mark.parametrize("os_name", ["linux", "vista"])
     def test_router_batch_equals_sequential(self, os_name):
+        """Routing the stream in one batch or sliced at random chunk
+        boundaries creates the same groups in the same order and hands
+        each group the same episodes in the same order."""
         from repro.core.streaming import EpisodeRouter
 
         trace = run_workload(os_name, "idle", DURATION, seed=1).trace
 
         def collect(router):
-            seen = []
+            groups, episodes = [], {}
 
             class Consumer:
                 def on_group(self, group):
-                    seen.append(("group", group.key))
+                    groups.append(group.key)
+                    episodes[group.key] = []
 
-                def on_episode(self, group, episode):
-                    seen.append(("episode", group.key, episode.set_at,
-                                 episode.outcome, episode.ended_at))
+                def on_episodes(self, group, batch):
+                    episodes[group.key].extend(
+                        (e.set_at, e.outcome, e.ended_at) for e in batch)
 
             router.subscribe(Consumer())
-            return seen
+            return groups, episodes
 
-        one = EpisodeRouter(os_name)
-        one_seen = collect(one)
-        for event in trace.events:
-            one.emit(event)
-        one.finish()
+        whole = EpisodeRouter(os_name)
+        whole_seen = collect(whole)
+        whole.emit_batch(trace.events)
+        whole.finish()
 
-        many = EpisodeRouter(os_name)
-        many_seen = collect(many)
-        many.emit_batch(trace.events)
-        many.finish()
+        sliced = EpisodeRouter(os_name)
+        sliced_seen = collect(sliced)
+        rng = random.Random(7)
+        events = trace.events
+        start = 0
+        while start < len(events):
+            size = rng.choice((1, 2, 5, 64, 1000, 4097))
+            sliced.emit_batch(events[start:start + size])
+            start += size
+        sliced.finish()
 
-        assert many.groups_created == one.groups_created
-        assert many.episodes_routed == one.episodes_routed
-        assert many_seen == one_seen
+        assert sliced.groups_created == whole.groups_created
+        assert sliced.episodes_routed == whole.episodes_routed
+        assert whole.episodes_routed > 100
+        assert sliced_seen == whole_seen

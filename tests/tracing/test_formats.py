@@ -244,6 +244,16 @@ class TestClusterV3:
         clone = materialize(trace_from_bytes(blob))
         self.assert_identity_equal(trace.events, clone.events)
 
+    @pytest.mark.parametrize("host,cpu", [(256, 0), (1, 65536),
+                                          (-1, 0), (1, -1)])
+    def test_identity_out_of_range_refused(self, host, cpu):
+        events = golden_cluster_events()
+        events[3] = events[3]._replace(host=host, cpu=cpu)
+        trace = Trace(os_name="linux", workload="fixture",
+                      duration_ns=MINUTE, events=events)
+        with pytest.raises(TraceFormatError, match="host/cpu out of range"):
+            trace_to_bytes(trace, format="binfmt3")
+
     def test_v2_loader_synthesizes_zero_identity(self):
         view = open_trace(os.path.join(DATA_DIR, "cross_v2.bin2"))
         assert all(event.host == 0 and event.cpu == 0 for event in view)
